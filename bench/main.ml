@@ -1,12 +1,12 @@
 (* Benchmark harness entry point: one target per table and figure of the
    paper's evaluation (§V). With no argument every experiment runs.
 
-   Usage: main.exe [table1|table2|fig5|fig6|table3|fig7|table4|case_study|cache|throughput|micro|all]
+   Usage: main.exe [table1|table2|fig5|fig6|table3|fig7|table4|case_study|throughput|micro|interp|parallel|all]
                    [--scale S]   (S scales population sizes and budgets) *)
 
 let usage () =
   print_endline
-    "usage: main.exe [table1|table2|fig5|fig6|table3|fig7|table4|case_study|cache|throughput|micro|interp|parallel|all] [--scale S] [--jobs N]";
+    "usage: main.exe [table1|table2|fig5|fig6|table3|fig7|table4|case_study|throughput|micro|interp|parallel|all] [--scale S] [--jobs N]";
   exit 1
 
 let () =
@@ -45,7 +45,6 @@ let () =
     | "micro" -> Micro.run ()
     | "interp" -> Micro.interp ()
     | "parallel" -> Micro.parallel ()
-    | "cache" -> Cache_exp.run ()
     | "throughput" -> Throughput_exp.run ()
     | "all" ->
       Tables.table1 ();
@@ -55,7 +54,6 @@ let () =
       ignore (Bug_exp.run ());
       ignore (Ablation_exp.run ());
       Realworld_exp.run ();
-      Cache_exp.run ();
       Throughput_exp.run ();
       Micro.run ()
     | t ->

@@ -45,20 +45,33 @@ let path_of_results (results : Executor.tx_result list) =
 
 let path_of_run (run : Executor.run) = path_of_results run.tx_results
 
+(* Best distance toward every frontier side the run visits, in one pass
+   over its branch events: an event that went [taken] at [pc] is a visit
+   toward [(pc, not taken)], which counts while that side is uncovered
+   and its twin covered. Sorted by side; among equal distances the
+   earlier visit wins. Distances are finite, so this flat fold agrees
+   with a per-trace minimum followed by a minimum across traces. *)
 let frontier_dists_of_results coverage (results : Executor.tx_result list) =
-  let frontier = Coverage.uncovered_frontier coverage in
-  List.filter_map
-    (fun br ->
-      let best =
-        List.fold_left
-          (fun acc (r : Executor.tx_result) ->
-            match Coverage.trace_min_distance r.trace br with
-            | Some d -> (match acc with Some a when a <= d -> acc | _ -> Some d)
-            | None -> acc)
-          None results
-      in
-      Option.map (fun d -> (br, d)) best)
-    frontier
+  let best = Hashtbl.create 16 in
+  List.iter
+    (fun (r : Executor.tx_result) ->
+      List.iter
+        (function
+          | Evm.Trace.Branch { pc; taken; dist_to_flip; _ } ->
+            let flip = (pc, not taken) in
+            if
+              (not (Coverage.is_covered coverage flip))
+              && Coverage.is_covered coverage (pc, taken)
+            then begin
+              match Hashtbl.find_opt best flip with
+              | Some d when d <= dist_to_flip -> ()
+              | _ -> Hashtbl.replace best flip dist_to_flip
+            end
+          | _ -> ())
+        r.trace.events)
+    results;
+  Hashtbl.fold (fun br d acc -> (br, d) :: acc) best []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let frontier_dists_of_run coverage (run : Executor.run) =
   frontier_dists_of_results coverage run.tx_results
@@ -66,33 +79,61 @@ let frontier_dists_of_run coverage (run : Executor.run) =
 (* Algorithm-2 probe verdict: did the mutant still hit one of the
    seed's nested branches, or get closer to a frontier side than the
    seed's baseline distance? Shared by the sequential and worker
-   probing paths so both fold batch results identically. *)
-let mask_feedback ~baseline_nested ~baseline_dists (run : Executor.run) =
-  let hits_nested =
-    baseline_nested <> []
-    && List.exists
-         (fun br -> List.mem br baseline_nested)
-         (nested_hits_of_run run)
-  in
-  let distance_decreased =
-    List.exists
-      (fun (br, base_d) ->
-        List.exists
-          (fun (r : Executor.tx_result) ->
-            match Coverage.trace_min_distance r.trace br with
-            | Some d -> d < base_d
-            | None -> false)
-          run.tx_results)
-      baseline_dists
-  in
-  { Mask.hits_nested; distance_decreased }
+   probing paths so both fold batch results identically. Apply the
+   baselines once per mask run: the baseline table is built then, and
+   each probe is one pass over its branch events. *)
+let mask_feedback ~baseline_nested ~baseline_dists =
+  (* a side listed twice is beaten by anything below its larger baseline *)
+  let base = Hashtbl.create 16 in
+  List.iter
+    (fun (br, d) ->
+      match Hashtbl.find_opt base br with
+      | Some d' when d' >= d -> ()
+      | _ -> Hashtbl.replace base br d)
+    baseline_dists;
+  fun (run : Executor.run) ->
+    let hits_nested =
+      baseline_nested <> []
+      && List.exists
+           (fun br -> List.mem br baseline_nested)
+           (nested_hits_of_run run)
+    in
+    let distance_decreased =
+      Hashtbl.length base > 0
+      && List.exists
+           (fun (r : Executor.tx_result) ->
+             List.exists
+               (function
+                 | Evm.Trace.Branch { pc; taken; dist_to_flip; _ } -> (
+                   match Hashtbl.find_opt base (pc, not taken) with
+                   | Some b -> dist_to_flip < b
+                   | None -> false)
+                 | _ -> false)
+               r.trace.events)
+           run.tx_results
+    in
+    { Mask.hits_nested; distance_decreased }
 
 (* Triage identity of one alarm occurrence: the call path is the
    function-name prefix of the witnessing sequence up to (and including)
    the raising transaction; whole-contract findings (tx_index = -1,
-   e.g. EF) use the empty path. *)
-let finding_key (seed : Seed.t) (f : Oracles.Oracle.finding) =
-  Oracles.Oracle.key_of ~call_path:(Seed.call_path seed ~upto:f.tx_index) f
+   e.g. EF) use the empty path.
+
+   A campaign raises the same alarms on nearly every execution but
+   through few distinct call paths, so [path_hashes] memoises the Keccak
+   path digest per call path. It belongs to one campaign's coordinator;
+   a global table would be shared across domains. *)
+let finding_key path_hashes (seed : Seed.t) (f : Oracles.Oracle.finding) =
+  let call_path = Seed.call_path seed ~upto:f.tx_index in
+  let k_path =
+    match Hashtbl.find_opt path_hashes call_path with
+    | Some h -> h
+    | None ->
+      let h = Oracles.Oracle.path_hash call_path in
+      Hashtbl.add path_hashes call_path h;
+      h
+  in
+  { Oracles.Oracle.k_cls = f.cls; k_pc = f.pc; k_path }
 
 let sorted_occurrences occ =
   Hashtbl.fold (fun k n acc -> (k, n) :: acc) occ []
@@ -597,6 +638,7 @@ let run ?(config = Config.default) ?(sinks = []) ?metrics ?resume ?on_safe_point
     Hashtbl.create 16
   in
   let occ : (Oracles.Oracle.key, int) Hashtbl.t = Hashtbl.create 32 in
+  let path_hashes : (string list, string) Hashtbl.t = Hashtbl.create 16 in
   let findings = ref [] in
   let witnesses = ref [] in
   let witness_seeds = ref [] in
@@ -642,16 +684,12 @@ let run ?(config = Config.default) ?(sinks = []) ?metrics ?resume ?on_safe_point
   let budget_left () =
     !execs < config.max_executions && not (time_exhausted ())
   in
-  let cache =
-    if config.state_caching then Some (State_cache.create ~metrics ()) else None
-  in
   (* one executor context for the whole campaign: telemetry handles
      resolve once, per-execution counts accumulate locally and flush at
      safe points / campaign end instead of per execution *)
   let xctx =
     Executor.make_ctx ~contract ~gas:config.gas_per_tx
-      ~n_senders:config.n_senders ~attacker:config.attacker_enabled ?cache
-      ~metrics ()
+      ~n_senders:config.n_senders ~attacker:config.attacker_enabled ~metrics ()
   in
   emit_resumed ~bus ~metrics resume;
   (* Execute a seed, fold its feedback into every table, return the run
@@ -659,10 +697,8 @@ let run ?(config = Config.default) ?(sinks = []) ?metrics ?resume ?on_safe_point
   let exec_and_observe seed =
     let run = Executor.run_in_ctx xctx seed in
     incr execs;
-    (* logical steps (cached prefixes included): a pure function of the
-       executed seeds, so the report total survives checkpoint/resume
-       with a cold state cache; the physical total still feeds the
-       mufuzz_evm_steps_total metric inside the executor *)
+    (* logical steps: a pure function of the executed seeds, so the
+       report total survives checkpoint/resume *)
     steps := !steps + run.Executor.logical_steps;
     Telemetry.Metrics.incr meters.m_execs;
     let new_sides = pending_new_sides bus coverage run.tx_results in
@@ -688,7 +724,7 @@ let run ?(config = Config.default) ?(sinks = []) ?metrics ?resume ?on_safe_point
     in
     List.iter
       (fun (f : Oracles.Oracle.finding) ->
-        let tkey = finding_key seed f in
+        let tkey = finding_key path_hashes seed f in
         Hashtbl.replace occ tkey
           (1 + Option.value ~default:0 (Hashtbl.find_opt occ tkey));
         let key = (f.cls, f.pc) in
@@ -812,6 +848,7 @@ let run ?(config = Config.default) ?(sinks = []) ?metrics ?resume ?on_safe_point
             ~max_probes:config.mask_max_probes tx.stream
         in
         let probes_before = !mask_probes_used in
+        let feedback = mask_feedback ~baseline_nested ~baseline_dists in
         let feedbacks =
           Array.map
             (fun (p : Mask.probe) ->
@@ -823,7 +860,7 @@ let run ?(config = Config.default) ?(sinks = []) ?metrics ?resume ?on_safe_point
                 in
                 incr mask_probes_used;
                 let run, _ = exec_and_observe probe_seed in
-                Some (mask_feedback ~baseline_nested ~baseline_dists run)
+                Some (feedback run)
               end)
             (Mask.probes pl)
         in
@@ -1055,7 +1092,7 @@ let run ?(config = Config.default) ?(sinks = []) ?metrics ?resume ?on_safe_point
    feedback structure of Algorithm 1 (seed queue, global coverage,
    branch-distance pool, energy weight table, findings); workers own
    nothing but a coverage snapshot, a private RNG stream and a
-   per-domain executor state cache. Each round the coordinator picks up
+   per-domain executor context. Each round the coordinator picks up
    to [jobs] distinct seeds with the sequential selection policy,
    reserves disjoint slices of the execution budget as quotas, and ships
    one seed-energy batch per worker. Workers run the exact inner
@@ -1171,6 +1208,7 @@ let fuzz_group_task ctx ~bus ~xctxs ~group ~quota ~mask_allowance
                (Stdlib.max 0 (mask_allowance - !probes)))
         in
         let feedbacks = Array.make (Array.length all) None in
+        let feedback = mask_feedback ~baseline_nested ~baseline_dists in
         let executed = ref 0 in
         List.iter
           (fun (wave : Mask.probe array) ->
@@ -1187,8 +1225,7 @@ let fuzz_group_task ctx ~bus ~xctxs ~group ~quota ~mask_allowance
               List.iteri
                 (fun k run ->
                   ignore (observe_run (List.nth seeds k) run);
-                  feedbacks.(base + k) <-
-                    Some (mask_feedback ~baseline_nested ~baseline_dists run))
+                  feedbacks.(base + k) <- Some (feedback run))
                 runs;
               executed := !executed + wlen
             end)
@@ -1303,6 +1340,7 @@ let run_parallel_on ?(bus = Telemetry.Bus.null) ?metrics ?resume ?on_safe_point
     Hashtbl.create 16
   in
   let occ : (Oracles.Oracle.key, int) Hashtbl.t = Hashtbl.create 32 in
+  let path_hashes : (string list, string) Hashtbl.t = Hashtbl.create 16 in
   let findings = ref [] in
   let witnesses = ref [] in
   let witness_seeds = ref [] in
@@ -1366,22 +1404,15 @@ let run_parallel_on ?(bus = Telemetry.Bus.null) ?metrics ?resume ?on_safe_point
     incr rng_counter;
     Util.Rng.derive config.rng_seed k
   in
-  (* one cache shard and one executor context per worker domain, built
-     once for the whole campaign: the hot execution path touches only
-     domain-local state, and per-execution telemetry reaches the shared
-     registry in one flush per task (the pool barrier is the hand-off
-     edge that makes coordinator-built contexts safe to hand to
-     workers) *)
-  let shard_cache =
-    if config.state_caching then
-      Some (State_cache.create_sharded ~metrics ~shards:jobs ())
-    else None
-  in
+  (* one executor context per worker domain, built once for the whole
+     campaign: the hot execution path touches only domain-local state,
+     and per-execution telemetry reaches the shared registry in one
+     flush per task (the pool barrier is the hand-off edge that makes
+     coordinator-built contexts safe to hand to workers) *)
   let xctxs =
-    Array.init jobs (fun w ->
+    Array.init jobs (fun _ ->
         Executor.make_ctx ~contract:ctx.x_contract ~gas:config.gas_per_tx
           ~n_senders:config.n_senders ~attacker:config.attacker_enabled
-          ?cache:(Option.map (fun s -> State_cache.shard s w) shard_cache)
           ~metrics ())
   in
   let stats0 = Pool.stats pool in
@@ -1487,7 +1518,7 @@ let run_parallel_on ?(bus = Telemetry.Bus.null) ?metrics ?resume ?on_safe_point
   let note_findings seed fs =
     List.iter
       (fun (f : Oracles.Oracle.finding) ->
-        let tkey = finding_key seed f in
+        let tkey = finding_key path_hashes seed f in
         Hashtbl.replace occ tkey
           (1 + Option.value ~default:0 (Hashtbl.find_opt occ tkey));
         let key = (f.cls, f.pc) in
@@ -1570,8 +1601,8 @@ let run_parallel_on ?(bus = Telemetry.Bus.null) ?metrics ?resume ?on_safe_point
             let mine = List.filter (fun (i, _) -> i mod ntasks = j) indexed in
             fun worker ->
               (* one dispatch pass through the worker's context: pooled
-                 frames, resolved metric handles and the cache shard are
-                 reused across the slice, telemetry flushed once *)
+                 frames and resolved metric handles are reused across
+                 the slice, telemetry flushed once *)
               let xctx = xctxs.(worker) in
               let out =
                 List.map

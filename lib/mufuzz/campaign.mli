@@ -122,7 +122,7 @@ val run_parallel :
   Minisol.Contract.t ->
   Report.t
 (** Multicore campaign: seed-energy batches are sharded across a
-    {!Pool} of worker domains, each with its own executor state cache, a
+    {!Pool} of worker domains, each with its own executor context, a
     private RNG stream ({!Util.Rng.derive}) and a domain-local coverage
     map merged commutatively into the global map at batch boundaries.
     All seed-queue, mask-budget and energy updates are applied by the
@@ -180,3 +180,21 @@ val run_many :
 val derive_sequence : Minisol.Contract.t -> string list
 (** The §IV-A sequence for a contract (constructor excluded), exposed
     for examples and tests. *)
+
+val frontier_dists_of_results :
+  Coverage.t -> Executor.tx_result list -> (Coverage.branch * float) list
+(** Per-execution feedback for the distance pool: every side of
+    {!Coverage.uncovered_frontier} the run visited, with the smallest
+    {!Coverage.trace_min_distance} over its traces (the earliest on
+    ties), sorted by side. Computed in one pass over the branch events;
+    exposed for the reference-model tests. *)
+
+val mask_feedback :
+  baseline_nested:Coverage.branch list ->
+  baseline_dists:(Coverage.branch * float) list ->
+  Executor.run ->
+  Mask.feedback
+(** Algorithm-2 probe verdict against a seed's baselines: the run still
+    hits a baseline nested branch, or some visit to a baseline side is
+    closer than that side's baseline distance. Partially apply the
+    baselines once per mask run and reuse the closure across probes. *)

@@ -28,7 +28,6 @@ type t = {
   predict_attempts : int;  (* failed flips of a branch before prediction fires *)
   predict_max_candidates : int;  (* proposal executions per firing *)
   attacker_enabled : bool;
-  state_caching : bool;
   initial_corpus : Seed.t list;
   strict_corpus : bool;
   prefix_params : Analysis.Prefix.params;
@@ -70,7 +69,6 @@ let default =
     predict_attempts = 25;
     predict_max_candidates = 12;
     attacker_enabled = true;
-    state_caching = true;
     initial_corpus = [];
     strict_corpus = false;
     prefix_params = Analysis.Prefix.default_params;
@@ -133,7 +131,6 @@ let to_json t =
       ("predict_attempts", J.Int t.predict_attempts);
       ("predict_max_candidates", J.Int t.predict_max_candidates);
       ("attacker_enabled", J.Bool t.attacker_enabled);
-      ("state_caching", J.Bool t.state_caching);
       ("initial_corpus", J.List (List.map Seed.to_json t.initial_corpus));
       ("strict_corpus", J.Bool t.strict_corpus);
       ("nested_coeff", J.Float t.prefix_params.Analysis.Prefix.nested_coeff);
@@ -215,7 +212,6 @@ let of_json ~abi j =
     opt_with default.predict_max_candidates "predict_max_candidates" J.to_int
   in
   let* attacker_enabled = bol "attacker_enabled" in
-  let* state_caching = bol "state_caching" in
   let* initial_corpus =
     let* l = field "initial_corpus" J.to_list in
     List.fold_left
@@ -263,7 +259,6 @@ let of_json ~abi j =
       predict_attempts;
       predict_max_candidates;
       attacker_enabled;
-      state_caching;
       initial_corpus;
       strict_corpus;
       prefix_params = { Analysis.Prefix.nested_coeff; vuln_bonus };

@@ -79,9 +79,6 @@ type t = {
   predict_max_candidates : int;
       (** cap on proposal executions one prediction firing may spend *)
   attacker_enabled : bool;  (** install the reentrancy attacker account *)
-  state_caching : bool;
-      (** resume sequences from cached intermediate states (the paper's
-          §VI future-work optimisation); semantically transparent *)
   initial_corpus : Seed.t list;
       (** seeds executed and enqueued before generation starts (corpus
           resume / replay); empty by default *)
@@ -136,4 +133,6 @@ val to_json : t -> Telemetry.Json.t
 val of_json : abi:Abi.func list -> Telemetry.Json.t -> (t, string) result
 (** Inverse of {!to_json}. Strict: every field must be present, so a
     checkpoint from a config shape this build does not know is rejected
-    rather than silently defaulted. *)
+    rather than silently defaulted. Fields this build no longer has are
+    ignored, so checkpoints that still carry the retired
+    [state_caching] knob keep loading. *)

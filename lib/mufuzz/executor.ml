@@ -262,6 +262,6 @@ let inspect ~static (run : run) =
     (List.map (fun (r : tx_result) -> (r.tx_index, r.success, r.trace))
        run.tx_results)
 
-let findings ~contract ~gas ~n_senders ~attacker ?cache seed =
-  let run = run_seed ~contract ~gas ~n_senders ~attacker ?cache seed in
+let findings ~contract ~gas ~n_senders ~attacker seed =
+  let run = run_seed ~contract ~gas ~n_senders ~attacker seed in
   inspect ~static:(Oracles.Oracle.static_info_of contract) run

@@ -5,7 +5,9 @@
     With a {!State_cache.t} supplied, execution resumes from the deepest
     cached intermediate state whose transaction prefix matches — the
     §VI future-work optimisation. Results are bit-identical with or
-    without the cache. *)
+    without the cache. Campaigns run without one: replaying a cached
+    prefix cost more than re-executing it on every measured workload
+    (EXPERIMENTS.md §VI). *)
 
 val deployer : Evm.State.address
 val sender_pool : int -> Evm.State.address list
@@ -108,7 +110,6 @@ val findings :
   gas:int ->
   n_senders:int ->
   attacker:bool ->
-  ?cache:State_cache.t ->
   Seed.t ->
   Oracles.Oracle.finding list
 (** [run_seed] followed by {!inspect} with the contract's own static

@@ -53,8 +53,7 @@ type t = {
   contract_name : string;
   executions : int;
   steps : int;
-      (** EVM opcodes dispatched across the campaign; transactions
-          replayed from the prefix-state cache are excluded *)
+      (** EVM opcodes dispatched across the campaign's executions *)
   mask_probes : int;
       (** Algorithm-2 probe executions (a subset of [executions]) —
           lets bench runs attribute wall time to probe waves vs

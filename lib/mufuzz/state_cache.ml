@@ -137,27 +137,3 @@ let store t key snapshot =
 let hits t = t.hit_count
 let misses t = t.miss_count
 let evictions t = t.eviction_count
-
-(* ---------------- per-domain sharding ---------------- *)
-
-(* One shard per worker domain. A shard is owned exclusively by its
-   domain while a batch runs (the pool's barrier is the hand-off edge),
-   so the hot prefix-lookup path crosses no mutex and no shared cache
-   line; only [flush_metrics] — called at batch boundaries — touches
-   the shared registry. *)
-type sharded = { shards : t array }
-
-let create_sharded ?capacity ?metrics ~shards () =
-  let n = Stdlib.max 1 shards in
-  { shards = Array.init n (fun _ -> create ?capacity ?metrics ()) }
-
-let shard s i = s.shards.(i mod Array.length s.shards)
-let shard_count s = Array.length s.shards
-
-let total f s = Array.fold_left (fun acc t -> acc + f t) 0 s.shards
-
-let total_hits = total hits
-let total_misses = total misses
-let total_evictions = total evictions
-
-let flush_sharded_metrics s = Array.iter flush_metrics s.shards

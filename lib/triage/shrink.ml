@@ -34,16 +34,20 @@ type result = {
 }
 
 (* One oracle-preservation check: does [seed] still raise (cls, pc)?
-   A state cache is threaded through every check of one shrink call, so
-   candidates sharing a transaction prefix (most of them) resume from
-   the cached intermediate state instead of re-deploying. *)
+   Every check of one shrink call reuses one executor context and the
+   contract's static oracle facts. Candidates re-execute from the
+   deployed state: resuming shared prefixes from a state cache cost more
+   than it saved. *)
 let make_check t (f : Oracles.Oracle.finding) =
-  let cache = Mufuzz.State_cache.create () in
+  let ctx =
+    Mufuzz.Executor.make_ctx ~contract:t.contract ~gas:t.gas
+      ~n_senders:t.n_senders ~attacker:t.attacker ()
+  in
+  let static = Oracles.Oracle.static_info_of t.contract in
   fun seed ->
     List.exists
       (fun (g : Oracles.Oracle.finding) -> g.cls = f.cls && g.pc = f.pc)
-      (Mufuzz.Executor.findings ~contract:t.contract ~gas:t.gas
-         ~n_senders:t.n_senders ~attacker:t.attacker ~cache seed)
+      (Mufuzz.Executor.inspect ~static (Mufuzz.Executor.run_in_ctx ctx seed))
 
 (* ---------------- pass 1: ddmin over the transaction list ----------------
 

@@ -207,6 +207,180 @@ let coverage_tests =
           (Mufuzz.Coverage.trace_min_distance trace (7, false)));
   ]
 
+(* ---------------- frontier distances: reference model ----------------
+
+   [Campaign.frontier_dists_of_results] and [Campaign.mask_feedback]
+   compute branch distances in one pass over each trace. The reference
+   below is their previous definition: sort the whole frontier, then
+   rescan every trace once per frontier side. Both must agree exactly,
+   float bits and tie-breaking included, on random traces and coverage
+   maps. *)
+
+let ref_frontier_dists cov (results : Mufuzz.Executor.tx_result list) =
+  List.filter_map
+    (fun br ->
+      let best =
+        List.fold_left
+          (fun acc (r : Mufuzz.Executor.tx_result) ->
+            match Mufuzz.Coverage.trace_min_distance r.trace br with
+            | Some d -> (match acc with Some a when a <= d -> acc | _ -> Some d)
+            | None -> acc)
+          None results
+      in
+      Option.map (fun d -> (br, d)) best)
+    (Mufuzz.Coverage.uncovered_frontier cov)
+
+let ref_nested_hits (results : Mufuzz.Executor.tx_result list) =
+  List.concat_map
+    (fun (r : Mufuzz.Executor.tx_result) ->
+      let _, acc =
+        List.fold_left
+          (fun (ord, acc) ev ->
+            match ev with
+            | Evm.Trace.Branch { pc; taken; _ } ->
+              (ord + 1, if ord + 1 >= 2 then (pc, taken) :: acc else acc)
+            | _ -> (ord, acc))
+          (0, []) r.trace.events
+      in
+      acc)
+    results
+  |> List.sort_uniq compare
+
+let ref_mask_feedback ~baseline_nested ~baseline_dists
+    (run : Mufuzz.Executor.run) =
+  let hits_nested =
+    baseline_nested <> []
+    && List.exists
+         (fun br -> List.mem br baseline_nested)
+         (ref_nested_hits run.tx_results)
+  in
+  let distance_decreased =
+    List.exists
+      (fun (br, base_d) ->
+        List.exists
+          (fun (r : Mufuzz.Executor.tx_result) ->
+            match Mufuzz.Coverage.trace_min_distance r.trace br with
+            | Some d -> d < base_d
+            | None -> false)
+          run.tx_results)
+      baseline_dists
+  in
+  { Mufuzz.Mask.hits_nested; distance_decreased }
+
+let trace_of events =
+  { Evm.Trace.status = Evm.Trace.Success; events; return_data = "";
+    gas_used = 0; steps = 0 }
+
+let run_of traces =
+  {
+    Mufuzz.Executor.tx_results =
+      List.mapi
+        (fun i trace ->
+          { Mufuzz.Executor.tx_index = i; fn_name = "f"; success = true; trace })
+        traces;
+    final_state = Evm.State.empty;
+    received_value = false;
+    executed_steps = 0;
+    logical_steps = 0;
+  }
+
+(* Few pcs and a small distance alphabet, so sides repeat, frontiers
+   overlap the traces and ties (including 0.0 against -0.0) are common. *)
+let gen_event =
+  QCheck2.Gen.(
+    let* pc = int_range 0 5 in
+    let* taken = bool in
+    let* dist_to_flip = oneofl [ 0.0; -0.0; 1.0; 2.0; 2.5; 7.0; 1e30 ] in
+    frequency
+      [
+        (6, return (Evm.Trace.Branch { pc; taken; dist_to_flip; cond_taint = 0;
+                                       cmp = None }));
+        (1, return (Evm.Trace.Revert_reached { pc }));
+      ])
+
+let gen_traces = QCheck2.Gen.(list_size (int_range 0 3) (list_size (int_range 0 12) gen_event))
+
+let gen_branch = QCheck2.Gen.(pair (int_range 0 5) bool)
+
+(* coverage history, probe run, baseline nested sides, baseline
+   distances (duplicate sides allowed) *)
+let gen_frontier_case =
+  QCheck2.Gen.(
+    quad gen_traces gen_traces
+      (list_size (int_range 0 4) gen_branch)
+      (list_size (int_range 0 5)
+         (pair gen_branch (oneofl [ 0.0; 1.0; 2.0; 2.5; 3.0; 8.0; 1e31 ]))))
+
+let print_frontier_case (history, probe, nested, dists) =
+  let ev_str = function
+    | Evm.Trace.Branch { pc; taken; dist_to_flip; _ } ->
+      Printf.sprintf "B(%d,%b,%h)" pc taken dist_to_flip
+    | _ -> "R"
+  in
+  let traces ts =
+    String.concat " | " (List.map (fun t -> String.concat " " (List.map ev_str t)) ts)
+  in
+  let br (pc, t) = Printf.sprintf "(%d,%b)" pc t in
+  Printf.sprintf "history: %s\nprobe: %s\nnested: %s\ndists: %s" (traces history)
+    (traces probe)
+    (String.concat " " (List.map br nested))
+    (String.concat " " (List.map (fun (b, d) -> Printf.sprintf "%s=%h" (br b) d) dists))
+
+(* exact float identity: 0.0 and -0.0 differ here, unlike under [=] *)
+let bits dists = List.map (fun (br, d) -> (br, Int64.bits_of_float d)) dists
+
+let frontier_model_tests =
+  [
+    qprop "frontier_dists_of_results = frontier x trace_min_distance"
+      ~count:1000 ~print:print_frontier_case gen_frontier_case
+      (fun (history, probe, _, _) ->
+        let cov = Mufuzz.Coverage.create () in
+        List.iter (fun evs -> ignore (Mufuzz.Coverage.record cov (trace_of evs))) history;
+        (* judge the probe both before and after recording it, as the
+           worker pre-filter and the coordinator entry do *)
+        let run = run_of (List.map trace_of probe) in
+        let agree () =
+          bits (Mufuzz.Campaign.frontier_dists_of_results cov run.tx_results)
+          = bits (ref_frontier_dists cov run.tx_results)
+        in
+        let before = agree () in
+        List.iter
+          (fun (r : Mufuzz.Executor.tx_result) -> ignore (Mufuzz.Coverage.record cov r.trace))
+          run.tx_results;
+        before && agree ());
+    qprop "mask_feedback = per-side trace rescans" ~count:1000
+      ~print:print_frontier_case gen_frontier_case
+      (fun (history, probe, baseline_nested, random_dists) ->
+        let cov = Mufuzz.Coverage.create () in
+        List.iter (fun evs -> ignore (Mufuzz.Coverage.record cov (trace_of evs))) history;
+        let seed_run = run_of (List.map trace_of history) in
+        let run = run_of (List.map trace_of probe) in
+        (* realistic baselines (a seed's own frontier distances) and
+           arbitrary ones *)
+        List.for_all
+          (fun baseline_dists ->
+            Mufuzz.Campaign.mask_feedback ~baseline_nested ~baseline_dists run
+            = ref_mask_feedback ~baseline_nested ~baseline_dists run)
+          [ ref_frontier_dists cov seed_run.tx_results; random_dists ]);
+    unit "frontier distances keep side order and the earliest tie" (fun () ->
+        let cov = Mufuzz.Coverage.create () in
+        let br pc taken d =
+          Evm.Trace.Branch { pc; taken; dist_to_flip = d; cond_taint = 0; cmp = None }
+        in
+        let results =
+          (run_of
+             [ trace_of [ br 9 true 4.0; br 3 false 0.0 ];
+               trace_of [ br 3 false (-0.0); br 9 true 1.5 ] ])
+            .tx_results
+        in
+        List.iter
+          (fun (r : Mufuzz.Executor.tx_result) -> ignore (Mufuzz.Coverage.record cov r.trace))
+          results;
+        Alcotest.(check (list (pair (pair int bool) int64))) "sorted, first zero kept"
+          [ ((3, true), Int64.bits_of_float 0.0); ((9, false), Int64.bits_of_float 1.5) ]
+          (bits (Mufuzz.Campaign.frontier_dists_of_results cov results)));
+  ]
+
 let energy_tests =
   [
     unit "flat when dynamic disabled" (fun () ->
@@ -310,25 +484,13 @@ let suite =
     ("mufuzz: mutation", mutation_tests);
     ("mufuzz: mask", mask_tests);
     ("mufuzz: coverage", coverage_tests);
+    ("mufuzz: frontier model", frontier_model_tests);
     ("mufuzz: energy", energy_tests);
     ("mufuzz: campaign", campaign_tests);
   ]
 
 let cache_tests =
   [
-    unit "state caching is semantically transparent" (fun () ->
-        let c = Minisol.Contract.compile Corpus.Examples.crowdsale in
-        let run caching =
-          Mufuzz.Campaign.run
-            ~config:{ Mufuzz.Config.default with max_executions = 400;
-                      state_caching = caching }
-            c
-        in
-        let with_cache = run true and without = run false in
-        Alcotest.(check (list (pair int bool))) "same covered set"
-          without.covered with_cache.covered;
-        Alcotest.(check int) "same findings" (List.length without.findings)
-          (List.length with_cache.findings));
     unit "cache hits on repeated prefixes" (fun () ->
         let c = Minisol.Contract.compile Corpus.Examples.crowdsale in
         let cache = Mufuzz.State_cache.create () in
@@ -446,32 +608,7 @@ let report_tests =
         Alcotest.(check int) "sum" (List.length r.findings) total);
   ]
 
-let cache_property =
-  [
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~name:"caching transparent on generated contracts" ~count:5
-         ~print:Int64.to_string
-         QCheck2.Gen.(map Int64.of_int small_int)
-         (fun gseed ->
-           let spec =
-             List.hd
-               (Corpus.Generator.population ~seed:gseed ~n:1 Corpus.Generator.Small
-                  ~bug_rate:0.3)
-           in
-           let c = Corpus.Generator.compile spec in
-           let run caching =
-             Mufuzz.Campaign.run
-               ~config:{ Mufuzz.Config.default with max_executions = 120;
-                         state_caching = caching }
-               c
-           in
-           let a = run true and b = run false in
-           a.covered = b.covered
-           && List.length a.findings = List.length b.findings));
-  ]
-
-let suite =
-  suite @ [ ("mufuzz: report", report_tests); ("mufuzz: cache property", cache_property) ]
+let suite = suite @ [ ("mufuzz: report", report_tests) ]
 
 let minimize_tests =
   [
@@ -613,3 +750,48 @@ let replay_tests =
   ]
 
 let suite = suite @ [ ("mufuzz: replay", replay_tests) ]
+
+(* The retired [state_caching] knob: new documents omit it, and
+   checkpoints written while it existed still load. *)
+let config_codec_tests =
+  [
+    unit "to_json no longer emits state_caching" (fun () ->
+        match Mufuzz.Config.to_json Mufuzz.Config.default with
+        | Telemetry.Json.Obj fields ->
+          Alcotest.(check bool) "absent" false (List.mem_assoc "state_caching" fields)
+        | _ -> Alcotest.fail "config JSON is not an object");
+    unit "a checkpoint carrying state_caching still loads" (fun () ->
+        let contract = Minisol.Contract.compile Corpus.Examples.crowdsale in
+        let config = { Mufuzz.Config.default with max_executions = 300 } in
+        let snap = ref None in
+        let hook ~final ~bus:_ ~execs thunk =
+          if (not final) && execs >= 100 && Option.is_none !snap then
+            snap := Some (thunk ())
+        in
+        ignore (Mufuzz.Campaign.run ~config ~on_safe_point:hook contract);
+        let snapshot =
+          match !snap with Some s -> s | None -> Alcotest.fail "no safe point"
+        in
+        let ckpt = { Persist.Checkpoint.tool = "MuFuzz"; config; contract; snapshot } in
+        let j =
+          match Persist.Checkpoint.to_json ckpt with
+          | Telemetry.Json.Obj fields ->
+            Telemetry.Json.Obj
+              (List.map
+                 (fun (k, v) ->
+                   match (k, v) with
+                   | "config", Telemetry.Json.Obj cf ->
+                     (k, Telemetry.Json.Obj (cf @ [ ("state_caching", Telemetry.Json.Bool true) ]))
+                   | _ -> (k, v))
+                 fields)
+          | j -> j
+        in
+        match Persist.Checkpoint.of_json j with
+        | Error e -> Alcotest.fail e
+        | Ok loaded ->
+          Alcotest.(check string) "re-encodes as without the field"
+            (Persist.Checkpoint.to_string ckpt)
+            (Persist.Checkpoint.to_string loaded));
+  ]
+
+let suite = suite @ [ ("mufuzz: config codec", config_codec_tests) ]

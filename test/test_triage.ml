@@ -89,6 +89,42 @@ let key_tests =
           >= List.length r.findings));
   ]
 
+(* Occurrence counts under the dedup keys of one fixed campaign,
+   sequential and on two domains (the two places a campaign counts
+   occurrences). Pinned so that caching the call-path hash cannot shift
+   a key string or a count. *)
+let occurrence_golden =
+  [
+    ( 1,
+      [ ("IO@124/1608ea5cd21af1a1", 11); ("IO@124/57e582ab9d6a0030", 7);
+        ("IO@124/5984ad09d79852af", 347); ("IO@124/7802d2e0d04698be", 2);
+        ("IO@148/1608ea5cd21af1a1", 1); ("IO@148/57e582ab9d6a0030", 4);
+        ("IO@148/5984ad09d79852af", 241); ("IO@148/7802d2e0d04698be", 2) ] );
+    ( 2,
+      [ ("IO@124/1608ea5cd21af1a1", 12); ("IO@124/57e582ab9d6a0030", 12);
+        ("IO@124/5984ad09d79852af", 339); ("IO@124/7802d2e0d04698be", 3);
+        ("IO@148/1608ea5cd21af1a1", 2); ("IO@148/57e582ab9d6a0030", 3);
+        ("IO@148/5984ad09d79852af", 82); ("IO@148/7802d2e0d04698be", 3) ] );
+  ]
+
+let occurrence_tests =
+  List.map
+    (fun (jobs, expected) ->
+      Alcotest.test_case
+        (Printf.sprintf "token occurrence keys pinned at jobs=%d" jobs)
+        `Quick
+        (fun () ->
+          let c = Minisol.Contract.compile Corpus.Examples.token_overflow in
+          let r =
+            Mufuzz.Campaign.run_parallel
+              ~config:{ Mufuzz.Config.default with max_executions = 400; jobs }
+              c
+          in
+          Alcotest.(check (list (pair string int)))
+            "keys and counts" expected
+            (List.map (fun (k, n) -> (O.key_to_string k, n)) r.occurrences)))
+    occurrence_golden
+
 (* ---------------- shrinker ---------------- *)
 
 let shrink_target (c : Minisol.Contract.t) =
@@ -146,6 +182,20 @@ let shrink_tests =
           (match Triage.Shrink.reraise ~target f s.seed with
           | Some _ -> ()
           | None -> Alcotest.fail "budget-limited shrink lost the oracle"));
+    Alcotest.test_case "crowdsale witness shrinks to its pinned reproducer"
+      `Quick
+      (fun () ->
+        let c, r = campaign Corpus.Examples.crowdsale in
+        match r.witness_seeds with
+        | [] -> Alcotest.fail "no witnesses"
+        | (f, seed) :: _ ->
+          let s = Triage.Shrink.shrink ~target:(shrink_target c) f seed in
+          Alcotest.(check string) "shrunk seed"
+            "[constructor() by s2 -> invest(31) by s1 -> \
+             invest(115792089237316195423570985008687907853269984665640564039457584007913129639935) \
+             by s0]"
+            (Mufuzz.Seed.show s.seed);
+          Alcotest.(check int) "executions" 94 s.execs);
   ]
 
 (* ---------------- artifacts ---------------- *)
@@ -310,6 +360,7 @@ let report_tests =
 let suite =
   [
     ("triage.key", key_tests);
+    ("triage.occurrences", occurrence_tests);
     ("triage.shrink", shrink_tests);
     ("triage.artifact", artifact_tests);
     ("triage.regressions", regression_tests);
