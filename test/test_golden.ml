@@ -140,8 +140,88 @@ let determinism_tests =
           (classes r1 = classes r2));
   ]
 
+(* Whole-campaign snapshots: the Keccak digest of the JSON report with
+   the wall-clock fields and the per-domain [parallel] block removed.
+   These pin every count a campaign reports (coverage, findings,
+   occurrences, witnesses, growth curve, probe and proposal totals), so
+   a refactor of the campaign loops that changes any RNG draw or
+   feedback fold shows up here. At jobs=2 [steps] is left out as well:
+   it only became complete there once the coordinator's own executions
+   were counted. *)
+let report_digest ?(drop = []) report =
+  let drop =
+    [ "wall_seconds"; "execs_per_sec"; "steps_per_sec"; "parallel" ] @ drop
+  in
+  match Mufuzz.Report.to_json report with
+  | Telemetry.Json.Obj fields ->
+    Crypto.Keccak.hash_hex
+      (Telemetry.Json.to_string
+         (Telemetry.Json.Obj
+            (List.filter (fun (k, _) -> not (List.mem k drop)) fields)))
+  | _ -> Alcotest.fail "report is not an object"
+
+let crowdsale = lazy (Minisol.Contract.compile Corpus.Examples.crowdsale)
+let strict_guard = lazy (Minisol.Contract.compile Corpus.Examples.strict_guard)
+
+let at400 = { Mufuzz.Config.default with max_executions = 400 }
+
+let predict_config =
+  { Mufuzz.Config.default with
+    max_executions = 1200;
+    rng_seed = 7L;
+    predict = true;
+    predict_attempts = 10 }
+
+(* (name, contract, config, pinned digest) *)
+let campaign_goldens =
+  [
+    ( "crowdsale jobs=1",
+      crowdsale,
+      at400,
+      "269f2ef7dd4c279224ed97eec7e418568efcf6c4aff6012e83dcabaf57df31ef" );
+    ( "crowdsale jobs=2",
+      crowdsale,
+      { at400 with jobs = 2 },
+      "470de3d755880c66f6eb1c8b30795f13aa747a58f9829dbebf0545f043f233a9" );
+    ( "strict_guard predict jobs=1",
+      strict_guard,
+      predict_config,
+      "926e96fc371df44043e0117184229c7534da12ac02fc55ec775c68d8ae86321c" );
+    ( "strict_guard predict jobs=2",
+      strict_guard,
+      { predict_config with jobs = 2 },
+      "aab917ca65f39194d197495c98920dd93e7b63d1bb0a2c8304568b66c05af71e" );
+    ( "crowdsale blackbox jobs=1",
+      crowdsale,
+      { at400 with blackbox = true },
+      "539549d34bc5919c72b623804b56df34257186c25663d76ce869884b7f3b427c" );
+    ( "crowdsale no mask jobs=1",
+      crowdsale,
+      Mufuzz.Config.ablation_no_mask at400,
+      "758cded4b0f35c74e9c98da334791d4a9266d0929e918ca07941c1ac34505b7f" );
+    ( "crowdsale no energy jobs=1",
+      crowdsale,
+      Mufuzz.Config.ablation_no_energy at400,
+      "9bd5549dc0bab7bd10addfbcc19e2d0c3e389d31a069500d17e25f0c5462511b" );
+    ( "crowdsale random sequence jobs=1",
+      crowdsale,
+      Mufuzz.Config.ablation_no_sequence at400,
+      "773b1a337a341da6431787dc7e917f330dbcac7e734280c0d6885811fcfe5c66" );
+  ]
+
+let campaign_tests =
+  List.map
+    (fun (name, contract, (config : Mufuzz.Config.t), expected) ->
+      Alcotest.test_case (name ^ " report matches snapshot") `Quick (fun () ->
+          let r = Mufuzz.Campaign.run_parallel ~config (Lazy.force contract) in
+          let drop = if config.jobs > 1 then [ "steps" ] else [] in
+          Alcotest.(check string) "report digest" expected
+            (report_digest ~drop r)))
+    campaign_goldens
+
 let suite =
   [
     ("golden.snapshots", snapshot_tests);
     ("golden.determinism", determinism_tests);
+    ("golden.campaigns", campaign_tests);
   ]
