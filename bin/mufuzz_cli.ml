@@ -50,42 +50,26 @@ let jobs_arg =
                sequential loop; N>1 shards seed-energy batches across N \
                cores, merging coverage at batch boundaries.")
 
-(* [--round-batch] takes a positive integer or the literal "auto";
-   0, negatives and garbage are structured parse errors (exit 124)
-   rather than a silent clamp deep in the campaign *)
+(* [--round-batch] takes a positive integer; 0, negatives and garbage
+   are structured parse errors (exit 124) rather than a silent clamp
+   deep in the campaign *)
 let round_batch_conv =
   let parse s =
-    match String.lowercase_ascii (String.trim s) with
-    | "auto" -> Ok `Auto
-    | t -> (
-      match int_of_string_opt t with
-      | Some n when n >= 1 -> Ok (`Fixed n)
-      | Some n ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "round-batch must be a positive integer or 'auto', got %d" n))
-      | None ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "round-batch must be a positive integer or 'auto', got %S" s)))
+    match int_of_string_opt (String.trim s) with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+      Error
+        (`Msg (Printf.sprintf "round-batch must be a positive integer, got %S" s))
   in
-  let print ppf = function
-    | `Auto -> Format.pp_print_string ppf "auto"
-    | `Fixed n -> Format.pp_print_int ppf n
-  in
-  Arg.conv ~docv:"N|auto" (parse, print)
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
 let round_batch_arg =
-  Arg.(value & opt round_batch_conv (`Fixed Mufuzz.Config.default.round_batch)
-       & info [ "round-batch" ] ~docv:"N|auto"
+  Arg.(value & opt round_batch_conv Mufuzz.Config.default.round_batch
+       & info [ "round-batch" ] ~docv:"N"
            ~doc:"Seeds each worker domain fuzzes per parallel round. Larger \
                  values amortise coordination (fewer merge barriers) at the \
-                 cost of staler worker coverage snapshots; 'auto' starts at \
-                 the default and lets a hysteretic controller widen or \
-                 narrow the batch from the observed merge-stall ratio. \
-                 Ignored at --jobs 1.")
+                 cost of staler worker coverage snapshots. Ignored at \
+                 --jobs 1.")
 
 let predict_arg =
   Arg.(value & flag & info [ "predict" ]
@@ -230,11 +214,7 @@ let fuzz_cmd =
     let config =
       { Mufuzz.Config.default with max_executions = budget; rng_seed = seed;
         jobs = Stdlib.max 1 jobs;
-        round_batch =
-          (match round_batch with
-          | `Fixed n -> n
-          | `Auto -> Mufuzz.Config.default.round_batch);
-        round_batch_auto = (round_batch = `Auto);
+        round_batch;
         trace_path = trace;
         predict;
         predict_attempts = Stdlib.max 1 predict_attempts;
@@ -339,12 +319,8 @@ let fuzz_cmd =
       | Some p ->
         Printf.printf
           "parallel: %d domains, %d rounds, %.2fs merging, %.2fs merge-wait, \
-           %d steals%s\n"
-          p.jobs p.rounds p.merge_seconds p.merge_wait_seconds p.steals
-          (if p.round_batch_auto then
-             Printf.sprintf " (round-batch auto: %d->%d)" p.round_batch
-               p.round_batch_final
-           else "");
+           %d steals\n"
+          p.jobs p.rounds p.merge_seconds p.merge_wait_seconds p.steals;
         List.iter
           (fun (d : Mufuzz.Report.domain_stat) ->
             Printf.printf "  domain %d: %d execs, %.1f execs/sec, %.2fs stall\n"
@@ -489,8 +465,9 @@ let resume_cmd =
        ~doc:"Resume a fuzzing campaign from its checkpoint directory. At \
              jobs 1 the resumed campaign replays the exact run the \
              uninterrupted campaign would have produced (same RNG stream, \
-             same coverage, same findings); at jobs N the merged coverage \
-             and findings are equivalent.")
+             same coverage, same findings); at jobs N the resumed report \
+             equals the uninterrupted one too, apart from wall-clock \
+             timings and the per-domain parallel statistics.")
     Term.(const run $ dir_arg $ budget_override_arg $ max_seconds_override_arg
           $ out_arg $ json_arg $ trace_arg $ status_interval_arg $ metrics_arg
           $ verbose_arg)

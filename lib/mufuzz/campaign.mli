@@ -61,17 +61,9 @@ type snapshot = {
       (** flip-attempt counts per still-uncovered frontier side, sorted;
           drives the input-prediction trigger and is always [[]] when
           [Config.predict] is off *)
-  sn_round_batch : int;
-      (** current round batch width: fixed [Config.round_batch] unless
-          [round_batch_auto], in which case the controller's live width
-          (snapshot v3) — a resumed auto campaign continues the tuning
-          trajectory instead of resetting *)
-  sn_rb_votes : int;
-      (** the auto-tune controller's signed hysteresis counter
-          (snapshot v3); 0 when auto is off *)
   sn_predict_proposals : int;
-      (** prediction proposal executions so far (snapshot v3), resumed
-          into the report's [predict_proposals] total *)
+      (** prediction proposal executions so far, resumed into the
+          report's [predict_proposals] total *)
 }
 
 val run :

@@ -4,7 +4,6 @@ type t = {
   rng_seed : int64;
   jobs : int;
   round_batch : int;
-  round_batch_auto : bool;
   max_executions : int;
   gas_per_tx : int;
   n_senders : int;
@@ -47,7 +46,6 @@ let default =
     rng_seed = 42L;
     jobs = 1;
     round_batch = 2;
-    round_batch_auto = false;
     max_executions = 2000;
     gas_per_tx = 1_000_000;
     n_senders = 3;
@@ -109,7 +107,6 @@ let to_json t =
       ("rng_seed", J.String (Int64.to_string t.rng_seed));
       ("jobs", J.Int t.jobs);
       ("round_batch", J.Int t.round_batch);
-      ("round_batch_auto", J.Bool t.round_batch_auto);
       ("max_executions", J.Int t.max_executions);
       ("gas_per_tx", J.Int t.gas_per_tx);
       ("n_senders", J.Int t.n_senders);
@@ -190,27 +187,9 @@ let of_json ~abi j =
   let* mask_max_probes = int "mask_max_probes" in
   let* mask_budget_fraction = flt "mask_budget_fraction" in
   let* sequence_mutation_prob = flt "sequence_mutation_prob" in
-  (* the predict knobs post-date checkpoint format v1; decode them with
-     defaults so pre-prediction checkpoints keep loading *)
-  let opt_with dflt name conv =
-    match J.member name j with
-    | None -> Ok dflt
-    | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "config: missing or invalid field %s" name))
-  in
-  (* round_batch_auto post-dates snapshot v2 likewise *)
-  let* round_batch_auto =
-    opt_with default.round_batch_auto "round_batch_auto" J.to_bool
-  in
-  let* predict = opt_with default.predict "predict" J.to_bool in
-  let* predict_attempts =
-    opt_with default.predict_attempts "predict_attempts" J.to_int
-  in
-  let* predict_max_candidates =
-    opt_with default.predict_max_candidates "predict_max_candidates" J.to_int
-  in
+  let* predict = bol "predict" in
+  let* predict_attempts = int "predict_attempts" in
+  let* predict_max_candidates = int "predict_max_candidates" in
   let* attacker_enabled = bol "attacker_enabled" in
   let* initial_corpus =
     let* l = field "initial_corpus" J.to_list in
@@ -237,7 +216,6 @@ let of_json ~abi j =
       rng_seed;
       jobs;
       round_batch;
-      round_batch_auto;
       max_executions;
       gas_per_tx;
       n_senders;

@@ -24,15 +24,6 @@ type t = {
           per merge barrier, so larger values amortise coordination at
           the cost of staler worker coverage snapshots; ignored at
           [jobs = 1] *)
-  round_batch_auto : bool;
-      (** auto-tune the round batch between merge barriers (CLI
-          [--round-batch auto]): a hysteretic controller widens the
-          batch when workers spend too much of a round stalled or the
-          coordinator too long merge-waiting, and narrows it back when
-          coordination is cheap; [round_batch] then only sets the
-          starting width. The controller state is checkpointed so a
-          resumed campaign continues the same trajectory. Ignored at
-          [jobs = 1] *)
   max_executions : int;  (** transaction-sequence executions budget *)
   gas_per_tx : int;
   n_senders : int;  (** size of the sender account pool *)

@@ -45,31 +45,6 @@ let plan rng ~stride ~max_probes stream =
 
 let probes pl = pl.pl_probes
 
-let waves pl ~width =
-  (* Chunk the probe sequence at stride-anchor boundaries: all probes
-     sharing a position land in the same wave, so a wave is a whole
-     number of Algorithm-2 lines. *)
-  let width = Stdlib.max (List.length Mutation.all_kinds) width in
-  let out = ref [] in
-  let cur = ref [] in
-  let cur_n = ref 0 in
-  let cur_pos = ref (-1) in
-  Array.iter
-    (fun p ->
-      if p.probe_pos <> !cur_pos && !cur_n + List.length Mutation.all_kinds > width
-         && !cur_n > 0
-      then begin
-        out := Array.of_list (List.rev !cur) :: !out;
-        cur := [];
-        cur_n := 0
-      end;
-      cur_pos := p.probe_pos;
-      cur := p :: !cur;
-      incr cur_n)
-    pl.pl_probes;
-  if !cur_n > 0 then out := Array.of_list (List.rev !cur) :: !out;
-  List.rev !out
-
 let finish pl feedbacks =
   let bits = Array.make (Stdlib.max pl.pl_len 1) 0 in
   if pl.pl_len = 0 then { bits; stride = 1 }

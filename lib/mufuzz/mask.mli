@@ -30,16 +30,16 @@ val compute :
 
     Implemented as [plan] followed by [finish] with every probe executed
     — the staged form below is the same algorithm split so a campaign
-    can execute the probe mutants in batches. *)
+    can execute the probe mutants under its own budget and on its own
+    executor context. *)
 
 (** {2 Staged form}
 
     [plan] generates every probe mutant up front (drawing from the RNG
     in exactly the order {!compute} does — the width [n] once, then one
     draw sequence per mutant in (position asc, kind) order). The caller
-    executes the mutants however it likes — sequentially, in
-    [Executor.run_batch] waves, across a worker pool — and hands the
-    feedback back to {!finish}, which folds it into the same mask the
+    executes the mutants however it likes — on the coordinator or on a
+    worker domain — and hands the feedback back to {!finish}, which folds it into the same mask the
     interleaved {!compute} would have produced. A [None] feedback marks
     a probe that was never executed (budget exhausted); it contributes
     no admitted bits, matching the sequential path's behaviour when the
@@ -60,12 +60,6 @@ val plan : Util.Rng.t -> stride:int -> max_probes:int -> string -> plan
 
 val probes : plan -> probe array
 (** All probes in execution order. Do not mutate. *)
-
-val waves : plan -> width:int -> probe array list
-(** The probe sequence chunked into waves of at most [width] probes,
-    aligned to stride-anchor boundaries: the probes for one position
-    never straddle two waves. Concatenating the waves yields {!probes}
-    in order. [width] is clamped to at least one whole position group. *)
 
 val finish : plan -> feedback option array -> t
 (** [finish plan feedbacks] builds the mask; [feedbacks.(i)] answers

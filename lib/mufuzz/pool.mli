@@ -60,10 +60,11 @@ type stats = {
       (** per-worker time parked while a batch was still in flight —
           waiting for siblings to finish so the coordinator can merge *)
   merge_wait_seconds : float;
-      (** coordinator time blocked at batch barriers: inside
-          {!run_batch}'s drain and {!run_batch_iter}'s per-index and
-          final waits — the serial-phase cost the round-batch
-          auto-tuner feeds on *)
+      (** coordinator time blocked at batch barriers while the workers
+          run: inside {!run_batch}'s drain and {!run_batch_iter}'s
+          per-index and final waits. It is not merge work and overlaps
+          worker busy time, so it measures how long the coordinator had
+          nothing to do, not a serial-phase cost *)
   steals : int;  (** tasks taken from a sibling's deque *)
 }
 

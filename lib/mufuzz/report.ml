@@ -33,8 +33,6 @@ type parallel_stats = {
   jobs : int;
   rounds : int;
   round_batch : int;
-  round_batch_auto : bool;
-  round_batch_final : int;
   merge_seconds : float;
   merge_wait_seconds : float;
   worker_idle_seconds : float;
@@ -139,21 +137,16 @@ let to_text t =
   (match t.parallel with
   | None -> ()
   | Some p ->
-    let rb =
-      if p.round_batch_auto then
-        Printf.sprintf "%d->%d (auto)" p.round_batch p.round_batch_final
-      else string_of_int p.round_batch
-    in
     pf
       "\n\
-       parallel execution (%d domains, %d rounds of %s seeds/domain, %.2fs \
+       parallel execution (%d domains, %d rounds of %d seeds/domain, %.2fs \
        merging, %d steals)\n"
-      p.jobs p.rounds rb p.merge_seconds p.steals;
+      p.jobs p.rounds p.round_batch p.merge_seconds p.steals;
     pf "  coordinator merge-wait %.2fs, worker idle %.2fs\n"
       p.merge_wait_seconds p.worker_idle_seconds;
     List.iter
       (fun d ->
-        pf "  domain %d: %6d execs, %8.1f execs/sec, %.2fs merge stall\n"
+        pf "  domain %d: %6d execs, %8.1f execs/sec, %.2fs stalled in batch\n"
           d.domain d.d_execs (execs_per_sec d) d.stall_seconds)
       p.domains);
   pf "\ncoverage growth (execs -> covered sides)\n";
@@ -189,8 +182,6 @@ let to_json t =
         ("jobs", J.Int p.jobs);
         ("rounds", J.Int p.rounds);
         ("round_batch", J.Int p.round_batch);
-        ("round_batch_auto", J.Bool p.round_batch_auto);
-        ("round_batch_final", J.Int p.round_batch_final);
         ("merge_seconds", J.Float p.merge_seconds);
         ("merge_wait_seconds", J.Float p.merge_wait_seconds);
         ("worker_idle_seconds", J.Float p.worker_idle_seconds);

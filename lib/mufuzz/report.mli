@@ -24,25 +24,25 @@ type domain_stat = {
   d_execs : int;  (** sequence executions this domain performed *)
   busy_seconds : float;  (** time inside fuzzing tasks *)
   stall_seconds : float;
-      (** time parked at batch barriers waiting for the coordinator merge *)
+      (** time parked while a batch was still in flight: out of tasks,
+          waiting for sibling domains to finish theirs (from
+          {!Pool.stats}) *)
 }
 
 type parallel_stats = {
   jobs : int;
   rounds : int;  (** coordinator merge rounds *)
-  round_batch : int;  (** seeds shipped per domain per round (initial) *)
-  round_batch_auto : bool;  (** the auto-tune controller was driving *)
-  round_batch_final : int;
-      (** round batch width at campaign end — equals [round_batch]
-          unless the auto-tuner moved it *)
+  round_batch : int;  (** seeds shipped per domain per round *)
   merge_seconds : float;
       (** coordinator time spent merging feedback — merges overlap with
           still-running sibling tasks (incremental in-order merge), so
           this is work attributed to the coordinator, not wall-clock the
           workers spent parked *)
   merge_wait_seconds : float;
-      (** coordinator wall-clock blocked at pool barriers waiting for
-          the next in-order result (from {!Pool.stats}) *)
+      (** coordinator wall-clock blocked at pool barriers while the
+          workers run, waiting for the next in-order result (from
+          {!Pool.stats}). Not merge work: it overlaps worker busy time,
+          so a busy round shows a large wait by design *)
   worker_idle_seconds : float;
       (** summed worker wall-clock parked while a batch was in flight *)
   steals : int;  (** work-stealing events in the pool *)
@@ -56,8 +56,8 @@ type t = {
       (** EVM opcodes dispatched across the campaign's executions *)
   mask_probes : int;
       (** Algorithm-2 probe executions (a subset of [executions]) —
-          lets bench runs attribute wall time to probe waves vs
-          mutation rounds *)
+          lets bench runs attribute wall time to mask probing vs
+          mutation *)
   predict_proposals : int;
       (** prediction proposal executions (also a subset of
           [executions]); 0 unless [--predict] *)

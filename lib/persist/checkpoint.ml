@@ -10,13 +10,12 @@ module J = Telemetry.Json
 
 let format_tag = "mufuzz-checkpoint"
 
-(* v2 added the input-prediction flip-attempt counts ("attempts"); v1
-   documents decode with an empty table, so prediction simply restarts
-   its counting after resume. v3 added the round-batch auto-tune
-   controller state ("round_batch", "rb_votes") and the prediction
-   proposal counter ("predict_proposals"); v2 documents decode with
-   zeros — the controller re-seeds its width from the config and the
-   proposal total restarts, exactly the pre-v3 behaviour *)
+(* v2 added the input-prediction flip-attempt counts ("attempts"), v3
+   the prediction proposal counter ("predict_proposals"). Only v3 is
+   read: both fields are required, and no reader holds older documents.
+   Fields a v3 writer once added and this one no longer does (the
+   retired round-batch controller's "round_batch" and "rb_votes") are
+   ignored on read. *)
 let current_version = 3
 
 type t = {
@@ -117,8 +116,6 @@ let snapshot_json (s : Mufuzz.Campaign.snapshot) =
                J.Obj
                  [ ("pc", J.Int pc); ("taken", J.Bool taken); ("n", J.Int n) ])
              s.sn_attempts) );
-      ("round_batch", J.Int s.sn_round_batch);
-      ("rb_votes", J.Int s.sn_rb_votes);
       ("predict_proposals", J.Int s.sn_predict_proposals);
     ]
 
@@ -277,31 +274,15 @@ let snapshot_of_json ~abi j : (Mufuzz.Campaign.snapshot, string) result =
            let* covered = field "covered" J.to_int cj in
            Ok { Mufuzz.Report.execs; covered }))
   in
-  (* absent before v2 *)
   let* sn_attempts =
-    match J.member "attempts" j with
-    | None -> Ok []
-    | Some (J.List l) ->
-      map_result
-        (fun aj ->
-          let* br = branch_of_json aj in
-          let* n = field "n" J.to_int aj in
-          Ok (br, n))
-        l
-    | Some _ -> Error "ill-typed field \"attempts\""
+    Result.bind
+      (field "attempts" J.to_list j)
+      (map_result (fun aj ->
+           let* br = branch_of_json aj in
+           let* n = field "n" J.to_int aj in
+           Ok (br, n)))
   in
-  (* absent before v3 *)
-  let opt_int name dflt =
-    match J.member name j with
-    | None -> Ok dflt
-    | Some v -> (
-      match J.to_int v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "ill-typed field %S" name))
-  in
-  let* sn_round_batch = opt_int "round_batch" 0 in
-  let* sn_rb_votes = opt_int "rb_votes" 0 in
-  let* sn_predict_proposals = opt_int "predict_proposals" 0 in
+  let* sn_predict_proposals = field "predict_proposals" J.to_int j in
   Ok
     {
       Mufuzz.Campaign.sn_execs;
@@ -320,8 +301,6 @@ let snapshot_of_json ~abi j : (Mufuzz.Campaign.snapshot, string) result =
       sn_occ;
       sn_over_time;
       sn_attempts;
-      sn_round_batch;
-      sn_rb_votes;
       sn_predict_proposals;
     }
 
@@ -333,10 +312,10 @@ let of_json json =
   in
   let* version = field "version" J.to_int json in
   let* () =
-    if version >= 1 && version <= current_version then Ok ()
+    if version = current_version then Ok ()
     else
       Error
-        (Printf.sprintf "checkpoint version %d not supported (max %d)" version
+        (Printf.sprintf "checkpoint version %d not supported (only %d)" version
            current_version)
   in
   let* tool = field "tool" J.string_value json in

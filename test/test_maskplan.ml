@@ -1,9 +1,8 @@
-(* The staged mask-computation API (plan / waves / finish) and the
-   parallel phases built on it: the staged form must be a faithful
-   factoring of the sequential [Mask.compute], waves must respect
-   position-group boundaries, and the batched campaign phases
-   (worker-side mask probing, round-batch auto-tuning) must keep the
-   budget-exactness and determinism guarantees of the serial code. *)
+(* The staged mask-computation API (plan / finish) and the parallel
+   phases built on it: the staged form must be a faithful factoring of
+   the sequential [Mask.compute], and the batched campaign phases
+   (worker-side mask probing) must keep the budget-exactness and
+   determinism guarantees of the serial code. *)
 
 module J = Telemetry.Json
 
@@ -113,57 +112,6 @@ let differential_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* waves                                                               *)
-
-let wave_params_gen =
-  QCheck2.Gen.(
-    pair params_gen (int_range 1 40))
-
-let print_wave_params (p, w) =
-  Printf.sprintf "%s width=%d" (print_params p) w
-
-let wave_tests =
-  [
-    qprop "concatenated waves are the probe sequence, in order" ~count:300
-      ~print:print_wave_params wave_params_gen
-      (fun ((stream, stride, max_probes, seed), width) ->
-        let pl =
-          Mufuzz.Mask.plan (Util.Rng.create seed) ~stride ~max_probes stream
-        in
-        Array.concat (Mufuzz.Mask.waves pl ~width)
-        = Mufuzz.Mask.probes pl);
-    qprop "a position's probes never straddle two waves" ~count:300
-      ~print:print_wave_params wave_params_gen
-      (fun ((stream, stride, max_probes, seed), width) ->
-        let pl =
-          Mufuzz.Mask.plan (Util.Rng.create seed) ~stride ~max_probes stream
-        in
-        let owner = Hashtbl.create 16 in
-        List.for_all
-          (fun wave ->
-            Array.for_all
-              (fun (p : Mufuzz.Mask.probe) ->
-                match Hashtbl.find_opt owner p.probe_pos with
-                | None ->
-                  Hashtbl.add owner p.probe_pos wave;
-                  true
-                | Some w -> w == wave)
-              wave)
-          (Mufuzz.Mask.waves pl ~width));
-    qprop "waves respect width once clamped to a full position group"
-      ~count:300 ~print:print_wave_params wave_params_gen
-      (fun ((stream, stride, max_probes, seed), width) ->
-        let pl =
-          Mufuzz.Mask.plan (Util.Rng.create seed) ~stride ~max_probes stream
-        in
-        let group = List.length Mufuzz.Mutation.all_kinds in
-        let effective = Stdlib.max width group in
-        List.for_all
-          (fun wave -> Array.length wave <= effective)
-          (Mufuzz.Mask.waves pl ~width));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* parallel campaign phases built on the staged API                    *)
 
 let crowdsale = lazy (Minisol.Contract.compile Corpus.Examples.crowdsale)
@@ -180,7 +128,7 @@ let essence (r : Mufuzz.Report.t) =
   )
 
 (* a mask-heavy profile: stride 1 and a generous probe cap so every
-   refresh ships real probe waves through the batched path *)
+   refresh runs real probes inside the worker tasks *)
 let mask_heavy jobs budget =
   { Mufuzz.Config.default with
     jobs;
@@ -233,56 +181,6 @@ let campaign_tests =
         Alcotest.(check int) "budget exact" 1800 b.executions;
         Alcotest.(check bool) "resumed run still probes" true
           (b.mask_probes >= snap.sn_mask_probes));
-    unit "auto round-batch completes on budget with a sane final width"
-      (fun () ->
-        let config =
-          { (mask_heavy 2 1200) with
-            Mufuzz.Config.round_batch_auto = true }
-        in
-        let r = Mufuzz.Campaign.run_parallel ~config (Lazy.force crowdsale) in
-        Alcotest.(check int) "budget exact" 1200 r.executions;
-        match r.parallel with
-        | None -> Alcotest.fail "parallel stats missing"
-        | Some p ->
-          Alcotest.(check bool) "auto recorded" true p.round_batch_auto;
-          Alcotest.(check bool) "width in controller range" true
-            (p.round_batch_final >= 1 && p.round_batch_final <= 32);
-          Alcotest.(check bool) "merge wait non-negative" true
-            (p.merge_wait_seconds >= 0.0);
-          Alcotest.(check bool) "worker idle non-negative" true
-            (p.worker_idle_seconds >= 0.0));
-    unit "auto round-batch resume continues from the checkpointed width"
-      (fun () ->
-        let config =
-          { (mask_heavy 2 1400) with
-            Mufuzz.Config.round_batch_auto = true }
-        in
-        let c = Lazy.force crowdsale in
-        let snap = ref None in
-        let hook ~final ~bus:_ ~execs thunk =
-          if (not final) && execs >= 400 && Option.is_none !snap then
-            snap := Some (thunk ())
-        in
-        ignore (Mufuzz.Campaign.run_parallel ~config ~on_safe_point:hook c);
-        let snap =
-          match !snap with
-          | Some s -> s
-          | None -> Alcotest.fail "no mid-run safe point"
-        in
-        (* the controller's live width is checkpointed (v3), never the
-           unset sentinel, so a resumed campaign starts where the
-           trajectory left off rather than back at [config.round_batch] *)
-        Alcotest.(check bool) "width checkpointed" true
-          (snap.Mufuzz.Campaign.sn_round_batch >= 1
-          && snap.sn_round_batch <= 32);
-        let r = Mufuzz.Campaign.run_parallel ~config ~resume:("test", snap) c in
-        Alcotest.(check int) "budget exact" 1400 r.executions;
-        match r.parallel with
-        | None -> Alcotest.fail "parallel stats missing"
-        | Some p ->
-          Alcotest.(check bool) "auto recorded" true p.round_batch_auto;
-          Alcotest.(check bool) "final width in range" true
-            (p.round_batch_final >= 1 && p.round_batch_final <= 32));
     unit "report JSON carries the probe and proposal counters" (fun () ->
         let config = { Mufuzz.Config.default with max_executions = 400 } in
         let r = Mufuzz.Campaign.run ~config (Lazy.force crowdsale) in
@@ -334,30 +232,11 @@ let pool_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* codec tolerance: snapshot v3 fields and round_batch_auto            *)
+(* codec: the v3 snapshot counter                                      *)
 
 let codec_tests =
   [
-    unit "config decodes without round_batch_auto (pre-v3 checkpoint)"
-      (fun () ->
-        let abi = (Lazy.force crowdsale).Minisol.Contract.abi in
-        let j =
-          match Mufuzz.Config.to_json Mufuzz.Config.default with
-          | J.Obj fields ->
-            J.Obj (List.remove_assoc "round_batch_auto" fields)
-          | j -> j
-        in
-        match Mufuzz.Config.of_json ~abi j with
-        | Error e -> Alcotest.fail e
-        | Ok c ->
-          Alcotest.(check bool) "defaults to off" false c.round_batch_auto);
-    unit "config round-trips round_batch_auto" (fun () ->
-        let abi = (Lazy.force crowdsale).Minisol.Contract.abi in
-        let config = { Mufuzz.Config.default with round_batch_auto = true } in
-        match Mufuzz.Config.of_json ~abi (Mufuzz.Config.to_json config) with
-        | Error e -> Alcotest.fail e
-        | Ok c -> Alcotest.(check bool) "on" true c.round_batch_auto);
-    unit "checkpoint v3 round-trips the controller state" (fun () ->
+    unit "checkpoint v3 round-trips the proposal counter" (fun () ->
         let contract = Lazy.force crowdsale in
         let config = mask_heavy 2 700 in
         let snap = ref None in
@@ -368,11 +247,7 @@ let codec_tests =
         ignore (Mufuzz.Campaign.run_parallel ~config ~on_safe_point:hook contract);
         let snapshot =
           match !snap with
-          | Some s ->
-            { s with
-              Mufuzz.Campaign.sn_round_batch = 8;
-              sn_rb_votes = -1;
-              sn_predict_proposals = 5 }
+          | Some s -> { s with Mufuzz.Campaign.sn_predict_proposals = 5 }
           | None -> Alcotest.fail "no safe point"
         in
         let ckpt =
@@ -383,67 +258,14 @@ let codec_tests =
         with
         | Error e -> Alcotest.fail e
         | Ok c ->
-          Alcotest.(check int) "round_batch" 8 c.snapshot.sn_round_batch;
-          Alcotest.(check int) "rb_votes" (-1) c.snapshot.sn_rb_votes;
           Alcotest.(check int) "predict_proposals" 5
-            c.snapshot.sn_predict_proposals);
-    unit "checkpoint decodes v2 documents missing the v3 fields" (fun () ->
-        let contract = Lazy.force crowdsale in
-        let config = { Mufuzz.Config.default with max_executions = 500 } in
-        let snap = ref None in
-        let hook ~final ~bus:_ ~execs thunk =
-          if (not final) && execs >= 200 && Option.is_none !snap then
-            snap := Some (thunk ())
-        in
-        ignore (Mufuzz.Campaign.run ~config ~on_safe_point:hook contract);
-        let snapshot =
-          match !snap with
-          | Some s -> s
-          | None -> Alcotest.fail "no safe point"
-        in
-        let ckpt =
-          { Persist.Checkpoint.tool = "MuFuzz"; config; contract; snapshot }
-        in
-        let j =
-          match Persist.Checkpoint.to_json ckpt with
-          | J.Obj fields ->
-            J.Obj
-              (List.map
-                 (fun (k, v) ->
-                   if k <> "snapshot" then (k, v)
-                   else
-                     match v with
-                     | J.Obj sf ->
-                       ( k,
-                         J.Obj
-                           (List.filter
-                              (fun (sk, _) ->
-                                not
-                                  (List.mem sk
-                                     [ "round_batch";
-                                       "rb_votes";
-                                       "predict_proposals"
-                                     ]))
-                              sf) )
-                     | other -> (k, other))
-                 fields)
-          | j -> j
-        in
-        match Persist.Checkpoint.of_json j with
-        | Error e -> Alcotest.fail e
-        | Ok c ->
-          Alcotest.(check int) "round_batch zeroed" 0
-            c.snapshot.sn_round_batch;
-          Alcotest.(check int) "rb_votes zeroed" 0 c.snapshot.sn_rb_votes;
-          Alcotest.(check int) "proposals zeroed" 0
             c.snapshot.sn_predict_proposals);
   ]
 
 let suite =
   [
     ("maskplan: staged = sequential", differential_tests);
-    ("maskplan: waves", wave_tests);
     ("maskplan: batched campaign phases", campaign_tests);
     ("maskplan: pool wait accounting", pool_tests);
-    ("maskplan: v3 codec tolerance", codec_tests);
+    ("maskplan: v3 codec", codec_tests);
   ]

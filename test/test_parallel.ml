@@ -273,6 +273,20 @@ let campaign_tests =
              (List.map (fun (f : Oracles.Oracle.finding) -> f.cls) seq.findings)
           = List.sort_uniq compare
               (List.map (fun (f : Oracles.Oracle.finding) -> f.cls) par.findings)));
+    unit "black-box jobs=2 counts every execution's steps like jobs=1"
+      (fun () ->
+        (* black-box seeds come off the campaign stream in the same order
+           at any width, so both runs execute the same seeds: every
+           execution the coordinator dispatches must reach the totals *)
+        let config =
+          { Mufuzz.Config.default with max_executions = 400; blackbox = true }
+        in
+        let c = Lazy.force crowdsale in
+        let seq = Mufuzz.Campaign.run_parallel ~config c in
+        let par = Mufuzz.Campaign.run_parallel ~config:{ config with jobs = 2 } c in
+        Alcotest.(check int) "executions" seq.executions par.executions;
+        Alcotest.(check bool) "steps counted" true (seq.steps > 0);
+        Alcotest.(check int) "steps" seq.steps par.steps);
     unit "an explicit pool is reusable across campaigns" (fun () ->
         Mufuzz.Pool.with_pool ~jobs:2 (fun pool ->
             let config =

@@ -37,17 +37,13 @@ let reference =
      | Some s -> (report, s)
      | None -> Alcotest.fail "reference campaign never hit a safe point")
 
-(* report comparison modulo the wall-clock fields the spec excludes *)
-let normalized report =
+(* report comparison modulo the wall-clock fields the spec excludes,
+   and optionally further fields *)
+let normalized ?(drop = []) report =
+  let drop = [ "wall_seconds"; "execs_per_sec"; "steps_per_sec" ] @ drop in
   match Mufuzz.Report.to_json report with
   | J.Obj fields ->
-    J.to_string
-      (J.Obj
-         (List.filter
-            (fun (k, _) ->
-              not
-                (List.mem k [ "wall_seconds"; "execs_per_sec"; "steps_per_sec" ]))
-            fields))
+    J.to_string (J.Obj (List.filter (fun (k, _) -> not (List.mem k drop)) fields))
   | j -> J.to_string j
 
 (* scratch dirs route through Util.Fileio so an aborted test run
@@ -220,6 +216,7 @@ let codec_tests =
         let config =
           { base_config with
             Mufuzz.Config.jobs = 4;
+            round_batch = 8;
             sequence_mode = Mufuzz.Config.Seq_random;
             blackbox = true;
             trace_path = Some "t.jsonl";
@@ -285,10 +282,13 @@ let checkpoint_tests =
             (String.length e > 0)
         | Ok _ -> Alcotest.fail "accepted wrong format");
     unit "rejects future versions" (fun () ->
-        let j = with_field "version" (J.Int 999) (make_checkpoint ()) in
-        match Persist.Checkpoint.of_json j with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.fail "accepted version 999");
+        List.iter
+          (fun v ->
+            let j = with_field "version" (J.Int v) (make_checkpoint ()) in
+            match Persist.Checkpoint.of_json j with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "accepted version %d" v)
+          [ 999; 1; 2 ]);
     unit "rejects source tampering (hash mismatch)" (fun () ->
         let j =
           with_field "source"
@@ -403,7 +403,7 @@ let resume_tests =
           in
           Alcotest.(check string) "reports equal modulo wall clock"
             (normalized report_a) (normalized report_b));
-    unit "parallel resume preserves merged coverage and findings" (fun () ->
+    unit "parallel resume reproduces the uninterrupted report" (fun () ->
         let config =
           { base_config with Mufuzz.Config.jobs = 2; max_executions = 3000 }
         in
@@ -423,15 +423,10 @@ let resume_tests =
         let report_b =
           Mufuzz.Campaign.run_parallel ~config ~resume:("test", snap) contract
         in
-        Alcotest.(check int) "covered sides" report_a.covered_branches
-          report_b.Mufuzz.Report.covered_branches;
-        Alcotest.(check (list (pair int bool))) "covered set" report_a.covered
-          report_b.covered;
-        let keys (r : Mufuzz.Report.t) =
-          List.map (fun (k, _) -> Oracles.Oracle.key_to_string k) r.occurrences
-        in
-        Alcotest.(check (list string)) "finding keys" (keys report_a)
-          (keys report_b));
+        (* [parallel] holds per-domain timings and scheduling counts *)
+        Alcotest.(check string) "reports equal modulo wall clock"
+          (normalized ~drop:[ "parallel" ] report_a)
+          (normalized ~drop:[ "parallel" ] report_b));
     unit "checkpoint driver writes on cadence, campaign emits events" (fun () ->
         let dir = temp_dir () in
         let config =

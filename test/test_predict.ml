@@ -275,20 +275,14 @@ let codec_tests =
           Alcotest.(check int) "attempts" 3 c'.Mufuzz.Config.predict_attempts;
           Alcotest.(check int) "candidates" 4
             c'.Mufuzz.Config.predict_max_candidates);
-    unit "config decode tolerates missing predict fields" (fun () ->
-        let j =
-          List.fold_left
-            (fun j k -> json_drop k j)
-            (Mufuzz.Config.to_json Mufuzz.Config.default)
-            [ "predict"; "predict_attempts"; "predict_max_candidates" ]
-        in
-        match Mufuzz.Config.of_json ~abi:strict_guard.Minisol.Contract.abi j with
-        | Error e -> Alcotest.fail e
-        | Ok c ->
-          Alcotest.(check bool) "defaults off" false c.Mufuzz.Config.predict;
-          Alcotest.(check int) "default attempts"
-            Mufuzz.Config.default.predict_attempts
-            c.Mufuzz.Config.predict_attempts);
+    unit "config decode requires the predict fields" (fun () ->
+        List.iter
+          (fun k ->
+            let j = json_drop k (Mufuzz.Config.to_json Mufuzz.Config.default) in
+            match Mufuzz.Config.of_json ~abi:strict_guard.Minisol.Contract.abi j with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "decoded a config without %s" k)
+          [ "predict"; "predict_attempts"; "predict_max_candidates" ]);
   ]
 
 (* a real mid-run snapshot to wrap in checkpoints *)
@@ -324,23 +318,21 @@ let checkpoint_tests =
           Alcotest.(check (list (pair (pair int bool) int)))
             "attempts preserved" s.Mufuzz.Campaign.sn_attempts
             t'.Persist.Checkpoint.snapshot.Mufuzz.Campaign.sn_attempts);
-    slow "v1 checkpoints (no attempts field) still load" (fun () ->
+    slow "checkpoints without the prediction fields are rejected" (fun () ->
         let config, s = Lazy.force small_snapshot in
         let t =
           { Persist.Checkpoint.tool = "mufuzz"; config;
             contract = strict_guard; snapshot = s }
         in
-        let j =
-          Persist.Checkpoint.to_json t
-          |> json_update "version" (fun _ -> J.Int 1)
-          |> json_update "snapshot" (json_drop "attempts")
-        in
-        match Persist.Checkpoint.of_json j with
-        | Error e -> Alcotest.fail e
-        | Ok t' ->
-          Alcotest.(check (list (pair (pair int bool) int)))
-            "attempts default to empty" []
-            t'.Persist.Checkpoint.snapshot.Mufuzz.Campaign.sn_attempts);
+        List.iter
+          (fun k ->
+            let j =
+              Persist.Checkpoint.to_json t |> json_update "snapshot" (json_drop k)
+            in
+            match Persist.Checkpoint.of_json j with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "loaded a snapshot without %s" k)
+          [ "attempts"; "predict_proposals" ]);
   ]
 
 (* ---------------- campaign-level differential ---------------- *)
