@@ -3,7 +3,7 @@ module Op = Evm.Opcode
 type t = {
   code : Evm.Bytecode.t;
   vuln : (int * string) list;
-  reach_cache : (int, (int, unit) Hashtbl.t) Hashtbl.t;
+  reaches : bool array;  (* pc -> some vulnerable pc is reachable from it *)
 }
 
 let static_target code i =
@@ -15,7 +15,7 @@ let static_target code i =
   else None
 
 let successors_raw code i =
-  if i >= Array.length code then []
+  if i < 0 || i >= Array.length code then []
   else
     match code.(i) with
     | Op.STOP | Op.RETURN | Op.REVERT | Op.INVALID | Op.SELFDESTRUCT -> []
@@ -38,6 +38,28 @@ let classify_vulnerable code i =
   | Op.ADD | Op.SUB | Op.MUL -> Some "arithmetic"
   | _ -> None
 
+(* One backward pass: seed the vulnerable pcs, then walk predecessor
+   edges. Jump targets outside the code have no successors and are never
+   vulnerable, so they cannot reach anything and are left out. *)
+let reaches_table code vuln =
+  let n = Array.length code in
+  let preds = Array.make n [] in
+  for i = 0 to n - 1 do
+    List.iter
+      (fun s -> if s >= 0 && s < n then preds.(s) <- i :: preds.(s))
+      (successors_raw code i)
+  done;
+  let reaches = Array.make n false in
+  let rec mark = function
+    | [] -> ()
+    | i :: rest when reaches.(i) -> mark rest
+    | i :: rest ->
+      reaches.(i) <- true;
+      mark (List.rev_append preds.(i) rest)
+  in
+  mark (List.map fst vuln);
+  reaches
+
 let build code =
   let vuln = ref [] in
   Array.iteri
@@ -46,7 +68,8 @@ let build code =
       | Some cls -> vuln := (i, cls) :: !vuln
       | None -> ())
     code;
-  { code; vuln = List.rev !vuln; reach_cache = Hashtbl.create 64 }
+  let vuln = List.rev !vuln in
+  { code; vuln; reaches = reaches_table code vuln }
 
 let successors t i = successors_raw t.code i
 
@@ -63,20 +86,14 @@ let branch_successor t i ~taken =
 let vulnerable_pcs t = t.vuln
 
 let reachable t start =
-  match Hashtbl.find_opt t.reach_cache start with
-  | Some set -> set
-  | None ->
-    let set = Hashtbl.create 64 in
-    let rec dfs i =
-      if not (Hashtbl.mem set i) then begin
-        Hashtbl.replace set i ();
-        List.iter dfs (successors t i)
-      end
-    in
-    dfs start;
-    Hashtbl.replace t.reach_cache start set;
-    set
+  let set = Hashtbl.create 64 in
+  let rec dfs i =
+    if not (Hashtbl.mem set i) then begin
+      Hashtbl.replace set i ();
+      List.iter dfs (successors t i)
+    end
+  in
+  dfs start;
+  set
 
-let reaches_vulnerable t start =
-  let set = reachable t start in
-  List.exists (fun (pc, _) -> Hashtbl.mem set pc) t.vuln
+let reaches_vulnerable t pc = pc >= 0 && pc < Array.length t.reaches && t.reaches.(pc)

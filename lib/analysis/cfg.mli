@@ -27,7 +27,11 @@ val vulnerable_pcs : t -> (int * string) list
     each tagged with its class name. *)
 
 val reachable : t -> int -> (int, unit) Hashtbl.t
-(** All instruction indices reachable from the given index (cached). *)
+(** All instruction indices reachable from the given index, the index
+    itself included. A fresh depth-first walk per call. *)
 
 val reaches_vulnerable : t -> int -> bool
-(** Whether any vulnerable instruction is reachable from the index. *)
+(** Whether any vulnerable instruction is reachable from the index
+    ([false] outside the code). A read of a table {!build} computes in
+    one backward pass over the predecessor edges, so a [t] is immutable
+    and safe to share across domains. *)

@@ -12,51 +12,63 @@ let dependency_edges (t : Statevars.t) =
         t.funcs)
     t.funcs
 
+module IS = Set.Make (Int)
+
 let derive_base (t : Statevars.t) =
   let stateful, stateless =
     List.partition (fun (i : Statevars.func_info) -> i.touches_state) t.funcs
   in
-  let names = List.map (fun (i : Statevars.func_info) -> i.fn_name) stateful in
-  let edges =
-    List.filter
-      (fun (w, r, _) -> List.mem w names && List.mem r names)
-      (dependency_edges t)
+  (* Stateful names in declaration order; a repeated name keeps its
+     first position. *)
+  let index = Hashtbl.create 16 in
+  let names =
+    List.filter_map
+      (fun (i : Statevars.func_info) ->
+        if Hashtbl.mem index i.fn_name then None
+        else begin
+          Hashtbl.add index i.fn_name (Hashtbl.length index);
+          Some i.fn_name
+        end)
+      stateful
+    |> Array.of_list
   in
+  let n = Array.length names in
+  (* Distinct writer -> reader pairs, counted once into in-degrees. *)
+  let readers = Array.make n [] and in_degree = Array.make n 0 in
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun (w, r, _) ->
+      match (Hashtbl.find_opt index w, Hashtbl.find_opt index r) with
+      | Some wi, Some ri when not (Hashtbl.mem seen (wi, ri)) ->
+        Hashtbl.add seen (wi, ri) ();
+        readers.(wi) <- ri :: readers.(wi);
+        in_degree.(ri) <- in_degree.(ri) + 1
+      | _ -> ())
+    (dependency_edges t);
   (* Kahn's algorithm with declaration-order tie-breaking; when only a
      cycle remains, peel the declaration-earliest node. *)
-  let in_degree name =
-    List.length
-      (List.sort_uniq compare
-         (List.filter_map (fun (w, r, _) -> if r = name then Some w else None) edges))
-  in
+  let removed = Array.make n false in
+  let ready = ref IS.empty in
+  Array.iteri (fun i d -> if d = 0 then ready := IS.add i !ready) in_degree;
+  let earliest = ref 0 in
   let order = ref [] in
-  let remaining = ref names in
-  let removed = ref [] in
-  while !remaining <> [] do
-    let degrees =
-      List.map
-        (fun n ->
-          let d =
-            List.length
-              (List.sort_uniq compare
-                 (List.filter_map
-                    (fun (w, r, _) ->
-                      if r = n && List.mem w !remaining && w <> n then Some w else None)
-                    edges))
-          in
-          (n, d))
-        !remaining
-    in
+  for _ = 1 to n do
     let next =
-      match List.find_opt (fun (_, d) -> d = 0) degrees with
-      | Some (n, _) -> n
-      | None -> fst (List.hd degrees) (* cycle: take declaration-earliest *)
+      match IS.min_elt_opt !ready with
+      | Some i -> i
+      | None ->
+        while removed.(!earliest) do incr earliest done;
+        !earliest
     in
-    order := next :: !order;
-    removed := next :: !removed;
-    remaining := List.filter (fun n -> n <> next) !remaining
+    removed.(next) <- true;
+    ready := IS.remove next !ready;
+    order := names.(next) :: !order;
+    List.iter
+      (fun r ->
+        in_degree.(r) <- in_degree.(r) - 1;
+        if in_degree.(r) = 0 && not removed.(r) then ready := IS.add r !ready)
+      readers.(next)
   done;
-  ignore in_degree;
   List.rev !order
   @ List.map (fun (i : Statevars.func_info) -> i.fn_name) stateless
 

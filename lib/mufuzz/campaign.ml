@@ -223,17 +223,26 @@ type ctx = {
   x_contract : Minisol.Contract.t;
   x_info : Analysis.Statevars.t;
   x_cfg : Analysis.Cfg.t;
+  x_sequence : string list option;
+      (* the §IV-A call order every initial seed starts from; [None]
+         under [Seq_random], which shuffles afresh per seed *)
   x_dict : Word.U256.t array;
   x_static : Oracles.Oracle.static_info;
   x_abi : Abi.func list;
 }
 
 let make_ctx config (contract : Minisol.Contract.t) =
+  let info = Analysis.Statevars.analyze contract.ast in
   {
     x_config = config;
     x_contract = contract;
-    x_info = Analysis.Statevars.analyze contract.ast;
+    x_info = info;
     x_cfg = Analysis.Cfg.build contract.bytecode;
+    x_sequence =
+      (match config.Config.sequence_mode with
+      | Config.Seq_random -> None
+      | Config.Seq_dataflow -> Some (Analysis.Sequence.derive_base info)
+      | Config.Seq_dataflow_repeat -> Some (Analysis.Sequence.derive info));
     (* contract-specific magic numbers for the mutation dictionary,
        straight off the pre-decoded artifact (same words as
        [Bytecode.push_constants], already collected and memoised).
@@ -338,10 +347,9 @@ let make_meters metrics =
 (* ---------------- initial seeds ---------------- *)
 
 let base_sequence ctx rng =
-  match ctx.x_config.Config.sequence_mode with
-  | Config.Seq_random -> Analysis.Sequence.random_sequence rng ctx.x_info
-  | Config.Seq_dataflow -> Analysis.Sequence.derive_base ctx.x_info
-  | Config.Seq_dataflow_repeat -> Analysis.Sequence.derive ctx.x_info
+  match ctx.x_sequence with
+  | Some seq -> seq
+  | None -> Analysis.Sequence.random_sequence rng ctx.x_info
 
 let new_seed ctx rng =
   let config = ctx.x_config in

@@ -271,3 +271,128 @@ let realistic_tests =
   ]
 
 let suite = suite @ [ ("analysis: realistic contracts", realistic_tests) ]
+
+(* ---------------- static tables against reference models ---------- *)
+
+(* A generated Small or Large contract's source, named by its seed. *)
+let gen_generated =
+  QCheck2.Gen.(
+    let* large = bool in
+    let* key = int_range 1 1_000_000 in
+    let size = if large then Corpus.Generator.Large else Corpus.Generator.Small in
+    let spec =
+      Corpus.Generator.generate (Util.Rng.create (Int64.of_int key)) size
+        ~name:(Printf.sprintf "G%d" key) ~bug_rate:0.3
+    in
+    return (spec.name, spec.source))
+
+(* Checks [reaches_vulnerable] on every pc in [-1, n] against its old
+   definition: some vulnerable pc is in the forward-reachable set. *)
+let reaches_agrees (c : Minisol.Contract.t) =
+  let cfg = Analysis.Cfg.build c.bytecode in
+  let vuln = Analysis.Cfg.vulnerable_pcs cfg in
+  let model pc =
+    let set = Analysis.Cfg.reachable cfg pc in
+    List.exists (fun (v, _) -> Hashtbl.mem set v) vuln
+  in
+  let n = Array.length c.bytecode in
+  let rec check pc =
+    pc > n || (Analysis.Cfg.reaches_vulnerable cfg pc = model pc && check (pc + 1))
+  in
+  check (-1)
+
+(* The quadratic Kahn walk [Sequence.derive_base] replaced, kept as its
+   reference: it rescans the edge list per node per step. *)
+let derive_base_model (t : SV.t) =
+  let stateful, stateless =
+    List.partition (fun (i : SV.func_info) -> i.touches_state) t.funcs
+  in
+  let names = List.map (fun (i : SV.func_info) -> i.fn_name) stateful in
+  let edges =
+    List.filter
+      (fun (w, r, _) -> List.mem w names && List.mem r names)
+      (Analysis.Sequence.dependency_edges t)
+  in
+  let order = ref [] in
+  let remaining = ref names in
+  while !remaining <> [] do
+    let degrees =
+      List.map
+        (fun n ->
+          let d =
+            List.length
+              (List.sort_uniq compare
+                 (List.filter_map
+                    (fun (w, r, _) ->
+                      if r = n && List.mem w !remaining && w <> n then Some w else None)
+                    edges))
+          in
+          (n, d))
+        !remaining
+    in
+    let next =
+      match List.find_opt (fun (_, d) -> d = 0) degrees with
+      | Some (n, _) -> n
+      | None -> fst (List.hd degrees)
+    in
+    order := next :: !order;
+    remaining := List.filter (fun n -> n <> next) !remaining
+  done;
+  List.rev !order @ List.map (fun (i : SV.func_info) -> i.fn_name) stateless
+
+(* Synthetic analyses: dense read/write sets over a few variables give
+   many cycles and ties; names may repeat. *)
+let gen_statevars =
+  QCheck2.Gen.(
+    let vars = [ "a"; "b"; "c"; "d"; "e" ] in
+    let gen_set =
+      map (fun l -> SS.of_list l) (list_size (int_bound 3) (oneofl vars))
+    in
+    let gen_func =
+      let* i = int_bound 11 in
+      let* reads = gen_set in
+      let* writes = gen_set in
+      let* touches = frequency [ (4, return true); (1, return false) ] in
+      return
+        {
+          SV.fn_name = Printf.sprintf "f%d" i;
+          reads;
+          writes;
+          branch_reads = reads;
+          raw_vars = SS.inter reads writes;
+          touches_state = touches;
+        }
+    in
+    let* funcs = list_size (int_bound 10) gen_func in
+    return { SV.contract_name = "S"; funcs; all_branch_reads = SS.empty })
+
+let print_statevars (t : SV.t) =
+  String.concat "; "
+    (List.map
+       (fun (i : SV.func_info) ->
+         Printf.sprintf "%s r{%s} w{%s}%s" i.fn_name
+           (String.concat "," (SS.elements i.reads))
+           (String.concat "," (SS.elements i.writes))
+           (if i.touches_state then "" else " pure"))
+       t.funcs)
+
+let tables_agree src =
+  let c = Minisol.Contract.compile src and info = info_of src in
+  reaches_agrees c && Analysis.Sequence.derive_base info = derive_base_model info
+
+let static_table_tests =
+  [
+    unit "static tables = reference models on every example" (fun () ->
+        List.iter
+          (fun (name, src) -> Alcotest.(check bool) name true (tables_agree src))
+          Corpus.Examples.all);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"static tables = reference models (generated)"
+         ~count:12 ~print:fst gen_generated (fun (_, src) -> tables_agree src));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"derive_base = quadratic Kahn model (synthetic)"
+         ~count:500 ~print:print_statevars gen_statevars (fun info ->
+           Analysis.Sequence.derive_base info = derive_base_model info));
+  ]
+
+let suite = suite @ [ ("analysis: static tables", static_table_tests) ]

@@ -413,12 +413,12 @@ let differential_tests =
         let guard = guard_side strict_guard "open" magic in
         let config = { (diff_config true) with jobs = 2 } in
         let m = Telemetry.Metrics.create () in
-        let r1 = Mufuzz.Campaign.run ~config ~metrics:m strict_guard in
+        let r1 = Mufuzz.Campaign.run_parallel ~config ~metrics:m strict_guard in
         Alcotest.(check bool) "jobs=2 covers the guard" true
           (List.mem guard r1.Mufuzz.Report.covered);
         Alcotest.(check bool) "jobs=2 flips via prediction" true
           (counter_value m "mufuzz_predict_flipped_total" >= 1);
-        let r2 = Mufuzz.Campaign.run ~config strict_guard in
+        let r2 = Mufuzz.Campaign.run_parallel ~config strict_guard in
         Alcotest.(check (list (pair int bool))) "identical coverage on rerun"
           (List.sort compare r1.Mufuzz.Report.covered)
           (List.sort compare r2.Mufuzz.Report.covered));
