@@ -108,21 +108,23 @@ type ctx = {
 
 let emit ctx e = ctx.events_rev <- e :: ctx.events_rev
 
-let signed_float x = if U.is_neg x then -.U.to_float (U.neg x) else U.to_float x
+(* [neg x] has the limbs of [sub zero x]. *)
+let signed_float x = if U.is_neg x then -.U.to_float_sub U.zero x else U.to_float x
 
 (* sFuzz-style distances: (cost to make the comparison true, cost to make
-   it false); 0 on the side that currently holds. *)
+   it false); 0 on the side that currently holds. No intermediate word is
+   built: this runs for every comparison opcode executed. *)
 let cmp_dist (op : Opcode.t) a b =
   match op with
   | EQ ->
-    let d = U.to_float (U.abs_difference a b) in
+    let d = U.to_float_abs_difference a b in
     if d = 0.0 then (0.0, 1.0) else (d, 0.0)
   | LT ->
-    if U.lt a b then (0.0, U.to_float (U.sub b a))
-    else (U.to_float (U.sub a b) +. 1.0, 0.0)
+    if U.lt a b then (0.0, U.to_float_sub b a)
+    else (U.to_float_sub a b +. 1.0, 0.0)
   | GT ->
-    if U.gt a b then (0.0, U.to_float (U.sub a b))
-    else (U.to_float (U.sub b a) +. 1.0, 0.0)
+    if U.gt a b then (0.0, U.to_float_sub a b)
+    else (U.to_float_sub b a +. 1.0, 0.0)
   | SLT ->
     let sa = signed_float a and sb = signed_float b in
     if sa < sb then (0.0, sb -. sa) else (sa -. sb +. 1.0, 0.0)

@@ -63,3 +63,11 @@ val execute :
     not [Success], the returned state is the input state (the whole
     transaction reverts), but the trace still describes the execution up
     to the failure point — the fuzzer uses those branch events. *)
+
+val cmp_dist : Opcode.t -> Word.U256.t -> Word.U256.t -> float * float
+(** [cmp_dist op a b] is the sFuzz-style branch distance pair of the
+    comparison [a op b], for [op] one of [EQ], [LT], [GT], [SLT], [SGT]:
+    (cost to make it true, cost to make it false), [0.0] on the side
+    that currently holds. The comparison opcodes attach it to their
+    result, and a [JUMPI] on that result reports it as [dist_to_flip].
+    @raise Invalid_argument on any other opcode. *)

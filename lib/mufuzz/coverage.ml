@@ -1,14 +1,30 @@
 type branch = int * bool
 
+(* A side [(pc, taken)] is keyed as [pc lsl 1 lor taken], so each lookup
+   hashes one int and the flip side is [k lxor 1]. Values are plain ints
+   and floats, so [copy] is a bucket copy. Keys are injective for
+   [0 <= pc <= max_key_pc]; traces only produce such pcs and [of_json]
+   rejects the rest. *)
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k
+end)
+
+let max_key_pc = max_int asr 1
+let[@inline] key pc taken = (pc lsl 1) lor Bool.to_int taken
+let branch_of_key k = (k lsr 1, k land 1 = 1)
+
 type t = {
-  hits : (branch, int) Hashtbl.t;
+  hits : int Tbl.t;
   (* best distance toward an uncovered side, keyed by that side *)
-  dists : (branch, float) Hashtbl.t;
+  dists : float Tbl.t;
 }
 
-let create () = { hits = Hashtbl.create 256; dists = Hashtbl.create 256 }
+let create () = { hits = Tbl.create 256; dists = Tbl.create 256 }
 
-let is_covered t br = Hashtbl.mem t.hits br
+let is_covered t (pc, taken) = Tbl.mem t.hits (key pc taken)
 
 let record t (trace : Evm.Trace.t) =
   let fresh = ref false in
@@ -16,24 +32,24 @@ let record t (trace : Evm.Trace.t) =
     (fun ev ->
       match ev with
       | Evm.Trace.Branch { pc; taken; dist_to_flip; _ } ->
-        let br = (pc, taken) in
-        (match Hashtbl.find_opt t.hits br with
-        | Some n -> Hashtbl.replace t.hits br (n + 1)
+        let k = key pc taken in
+        (match Tbl.find_opt t.hits k with
+        | Some n -> Tbl.replace t.hits k (n + 1)
         | None ->
-          Hashtbl.replace t.hits br 1;
+          Tbl.replace t.hits k 1;
           fresh := true;
-          Hashtbl.remove t.dists br);
-        let flip = (pc, not taken) in
-        if not (Hashtbl.mem t.hits flip) then begin
-          match Hashtbl.find_opt t.dists flip with
+          Tbl.remove t.dists k);
+        let flip = k lxor 1 in
+        if not (Tbl.mem t.hits flip) then begin
+          match Tbl.find_opt t.dists flip with
           | Some d when d <= dist_to_flip -> ()
-          | _ -> Hashtbl.replace t.dists flip dist_to_flip
+          | _ -> Tbl.replace t.dists flip dist_to_flip
         end
       | _ -> ())
     trace.events;
   !fresh
 
-let copy t = { hits = Hashtbl.copy t.hits; dists = Hashtbl.copy t.dists }
+let copy t = { hits = Tbl.copy t.hits; dists = Tbl.copy t.dists }
 
 (* Merge [src] into [dst]. Hit counts take the max (counts are never read
    as semantics, and max — unlike sum — makes the merge idempotent);
@@ -43,35 +59,37 @@ let copy t = { hits = Hashtbl.copy t.hits; dists = Hashtbl.copy t.dists }
    best distances), so domain-local maps can be folded into the global
    map in any batch order. *)
 let merge ~into:dst src =
-  Hashtbl.iter
-    (fun br n ->
-      match Hashtbl.find_opt dst.hits br with
-      | Some m -> if n > m then Hashtbl.replace dst.hits br n
+  Tbl.iter
+    (fun k n ->
+      match Tbl.find_opt dst.hits k with
+      | Some m -> if n > m then Tbl.replace dst.hits k n
       | None ->
-        Hashtbl.replace dst.hits br n;
-        Hashtbl.remove dst.dists br)
+        Tbl.replace dst.hits k n;
+        Tbl.remove dst.dists k)
     src.hits;
-  Hashtbl.iter
-    (fun br d ->
-      if not (Hashtbl.mem dst.hits br) then
-        match Hashtbl.find_opt dst.dists br with
+  Tbl.iter
+    (fun k d ->
+      if not (Tbl.mem dst.hits k) then
+        match Tbl.find_opt dst.dists k with
         | Some d' when d' <= d -> ()
-        | _ -> Hashtbl.replace dst.dists br d)
+        | _ -> Tbl.replace dst.dists k d)
     src.dists
 
-let covered_count t = Hashtbl.length t.hits
+let covered_count t = Tbl.length t.hits
 
-let covered t = Hashtbl.fold (fun br _ acc -> br :: acc) t.hits []
+let covered t = Tbl.fold (fun k _ acc -> branch_of_key k :: acc) t.hits []
 
+(* Sorting keys sorts sides by [(pc, taken)], as both are non-negative. *)
 let uncovered_frontier t =
-  Hashtbl.fold
-    (fun (pc, taken) _ acc ->
-      let flip = (pc, not taken) in
-      if Hashtbl.mem t.hits flip then acc else flip :: acc)
+  Tbl.fold
+    (fun k _ acc ->
+      let flip = k lxor 1 in
+      if Tbl.mem t.hits flip then acc else flip :: acc)
     t.hits []
-  |> List.sort_uniq compare
+  |> List.sort_uniq Int.compare
+  |> List.map branch_of_key
 
-let best_distance t br = Hashtbl.find_opt t.dists br
+let best_distance t (pc, taken) = Tbl.find_opt t.dists (key pc taken)
 
 let trace_min_distance (trace : Evm.Trace.t) (pc, want_side) =
   List.fold_left
@@ -97,27 +115,32 @@ module J = Telemetry.Json
    or tests membership), so the codec is free to emit a canonical sorted
    form — which also makes [to_json] byte-stable across save/load. *)
 let to_json t =
-  let branch_fields (pc, taken) = [ ("pc", J.Int pc); ("taken", J.Bool taken) ] in
+  let sorted tbl =
+    Tbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+    |> List.sort (fun (k, _) (k', _) -> Int.compare k k')
+  in
+  let branch_fields k =
+    let pc, taken = branch_of_key k in
+    [ ("pc", J.Int pc); ("taken", J.Bool taken) ]
+  in
   let hits =
-    Hashtbl.fold (fun br n acc -> (br, n) :: acc) t.hits []
-    |> List.sort compare
-    |> List.map (fun (br, n) -> J.Obj (branch_fields br @ [ ("n", J.Int n) ]))
+    List.map (fun (k, n) -> J.Obj (branch_fields k @ [ ("n", J.Int n) ])) (sorted t.hits)
   in
   let dists =
-    Hashtbl.fold (fun br d acc -> (br, d) :: acc) t.dists []
-    |> List.sort compare
-    |> List.map (fun (br, d) -> J.Obj (branch_fields br @ [ ("d", J.Float d) ]))
+    List.map (fun (k, d) -> J.Obj (branch_fields k @ [ ("d", J.Float d) ])) (sorted t.dists)
   in
   J.Obj [ ("hits", J.List hits); ("dists", J.List dists) ]
 
 let of_json j =
   let ( let* ) = Result.bind in
-  let branch_of j =
+  let key_of j =
     match
       ( Option.bind (J.member "pc" j) J.to_int,
         Option.bind (J.member "taken" j) J.to_bool )
     with
-    | Some pc, Some taken -> Ok (pc, taken)
+    | Some pc, Some _ when pc < 0 || pc > max_key_pc ->
+      Error (Printf.sprintf "coverage: pc %d out of range" pc)
+    | Some pc, Some taken -> Ok (key pc taken)
     | _ -> Error "coverage: branch needs pc/taken"
   in
   let* hits =
@@ -135,10 +158,10 @@ let of_json j =
     List.fold_left
       (fun acc entry ->
         let* () = acc in
-        let* br = branch_of entry in
+        let* k = key_of entry in
         match Option.bind (J.member "n" entry) J.to_int with
         | Some n when n >= 1 ->
-          Hashtbl.replace t.hits br n;
+          Tbl.replace t.hits k n;
           Ok ()
         | _ -> Error "coverage: hit entry needs n >= 1")
       (Ok ()) hits
@@ -147,13 +170,13 @@ let of_json j =
     List.fold_left
       (fun acc entry ->
         let* () = acc in
-        let* br = branch_of entry in
+        let* k = key_of entry in
         match Option.bind (J.member "d" entry) J.to_float with
         | Some d ->
-          if Hashtbl.mem t.hits br then
+          if Tbl.mem t.hits k then
             Error "coverage: dist entry for a covered side"
           else begin
-            Hashtbl.replace t.dists br d;
+            Tbl.replace t.dists k d;
             Ok ()
           end
         | None -> Error "coverage: dist entry needs d")

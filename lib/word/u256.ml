@@ -115,15 +115,6 @@ let get_bit a i =
   let l = limb a (i / 64) in
   Int64.logand (Int64.shift_right_logical l (i mod 64)) 1L = 1L
 
-let set_bit a i =
-  let mask = Int64.shift_left 1L (i mod 64) in
-  match i / 64 with
-  | 0 -> { a with l0 = Int64.logor a.l0 mask }
-  | 1 -> { a with l1 = Int64.logor a.l1 mask }
-  | 2 -> { a with l2 = Int64.logor a.l2 mask }
-  | 3 -> { a with l3 = Int64.logor a.l3 mask }
-  | _ -> invalid_arg "U256.set_bit"
-
 let bit_length a =
   let limb_bits l = if Int64.equal l 0L then 0 else 64 - Int64_util.count_leading_zeros l in
   if not (Int64.equal a.l3 0L) then 192 + limb_bits a.l3
@@ -184,23 +175,134 @@ let shift_right_arith a n =
       logor shifted (shift_left max_value (256 - n))
     else shifted
 
-(* Shift-subtract long division; quadratic in bit length but division is
-   rare on EVM hot paths. *)
+(* ---------------- division ----------------
+
+   Division is on the interpreter's hot path: compiled [x % k]
+   expressions execute MOD, and MUL's overflow check divides the wrapped
+   product back by an operand. Three cases, cheapest first:
+   - both operands fit in one limb: the machine's 64-bit division;
+   - the divisor fits in 32 bits: short division, one native-int
+     division per digit of the dividend;
+   - otherwise Knuth's Algorithm D (TAOCP vol. 2, 4.3.1) over 16-bit
+     digits held in native ints, so every product, partial remainder
+     and trial quotient fits in 63 bits.
+   Digit arrays are indexed least significant first. *)
+
+(* The [i]-th [w]-bit digit of [a], for [w] dividing 64. *)
+let digit a w i =
+  let bit = i * w in
+  Int64.to_int (Int64.shift_right_logical (limb a (bit lsr 6)) (bit land 63))
+  land ((1 lsl w) - 1)
+
+(* Limb [k] of the word whose [w]-bit digits are [ds]. *)
+let limb_of_digits w ds k =
+  let per = 64 / w in
+  let acc = ref 0L in
+  for j = per - 1 downto 0 do
+    acc := Int64.logor (Int64.shift_left !acc w) (Int64.of_int ds.((k * per) + j))
+  done;
+  !acc
+
+let of_digits w ds =
+  make (limb_of_digits w ds 0) (limb_of_digits w ds 1) (limb_of_digits w ds 2)
+    (limb_of_digits w ds 3)
+
+(* Short division by [0 < d < 2^32]. Digits are 32 bits wide when
+   [d < 2^30], so that [r * 2^32 + digit] stays below [max_int], and
+   16 bits wide otherwise. Leading zero digits of [a] are skipped. *)
+let divmod_small a d =
+  assert (d > 0 && d <= 0xFFFF_FFFF);
+  let w = if d < 0x4000_0000 then 32 else 16 in
+  let q = Array.make (256 / w) 0 in
+  let r = ref 0 in
+  for i = ((bit_length a + w - 1) / w) - 1 downto 0 do
+    let cur = (!r lsl w) lor digit a w i in
+    let qd = cur / d in
+    q.(i) <- qd;
+    r := cur - (qd * d)
+  done;
+  (of_digits w q, !r)
+
+(* Algorithm D for [a >= b >= 2^32], over 16-bit digits. *)
+let divmod_knuth a b =
+  let base = 0x10000 and mask = 0xFFFF in
+  let m = (bit_length a + 15) / 16 and n = (bit_length b + 15) / 16 in
+  (* D1: normalise so the divisor's top digit has its high bit set; the
+     shifted dividend gains one digit at the top. *)
+  let s = (16 * n) - bit_length b in
+  let vn = Array.make n 0 and un = Array.make (m + 1) 0 in
+  let shift_digits x len out =
+    let carry = ref 0 in
+    for i = 0 to len - 1 do
+      let d = digit x 16 i in
+      out.(i) <- ((d lsl s) lor !carry) land mask;
+      carry := d lsr (16 - s)
+    done;
+    !carry
+  in
+  ignore (shift_digits b n vn);
+  un.(m) <- shift_digits a m un;
+  let q = Array.make 16 0 in
+  let vtop = vn.(n - 1) and vnext = vn.(n - 2) in
+  for j = m - n downto 0 do
+    (* D3: estimate the quotient digit from the top two digits, then
+       correct it (at most twice) with the third. *)
+    let num = (un.(j + n) * base) + un.(j + n - 1) in
+    let qhat = ref (num / vtop) in
+    let rhat = ref (num - (!qhat * vtop)) in
+    while
+      !rhat < base
+      && (!qhat >= base || !qhat * vnext > (!rhat * base) + un.(j + n - 2))
+    do
+      decr qhat;
+      rhat := !rhat + vtop
+    done;
+    (* D4: multiply and subtract; [k] carries the product's high digit
+       plus the borrow. *)
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      let p = !qhat * vn.(i) in
+      let t = un.(i + j) - !k - (p land mask) in
+      un.(i + j) <- t land mask;
+      k := (p lsr 16) - (t asr 16)
+    done;
+    let t = un.(j + n) - !k in
+    un.(j + n) <- t land mask;
+    if t >= 0 then q.(j) <- !qhat
+    else begin
+      (* D6: the estimate was one too large; add the divisor back. *)
+      q.(j) <- !qhat - 1;
+      let k = ref 0 in
+      for i = 0 to n - 1 do
+        let t = un.(i + j) + vn.(i) + !k in
+        un.(i + j) <- t land mask;
+        k := t lsr 16
+      done;
+      un.(j + n) <- (un.(j + n) + !k) land mask
+    end
+  done;
+  (* D8: the remainder is the low [n] digits, shifted back. *)
+  let r = Array.make 16 0 in
+  for i = 0 to n - 1 do
+    r.(i) <- (un.(i) lsr s) lor ((un.(i + 1) lsl (16 - s)) land mask)
+  done;
+  (of_digits 16 q, of_digits 16 r)
+
+let fits_limb a = Int64.equal a.l1 0L && Int64.equal a.l2 0L && Int64.equal a.l3 0L
+
 let divmod a b =
   if is_zero b then (zero, zero)
   else if lt a b then (zero, a)
-  else begin
-    let quot = ref zero and rem = ref zero in
-    for i = bit_length a - 1 downto 0 do
-      rem := shift_left !rem 1;
-      if get_bit a i then rem := logor !rem one;
-      if ge !rem b then begin
-        rem := sub !rem b;
-        quot := set_bit !quot i
-      end
-    done;
-    (!quot, !rem)
+  else if fits_limb a then begin
+    (* [b <= a], so [b] fits in one limb too *)
+    let q = Int64.unsigned_div a.l0 b.l0 in
+    (make q 0L 0L 0L, make (Int64.sub a.l0 (Int64.mul q b.l0)) 0L 0L 0L)
   end
+  else if fits_limb b && Int64.unsigned_compare b.l0 0x1_0000_0000L < 0 then begin
+    let q, r = divmod_small a (Int64.to_int b.l0) in
+    (q, make (Int64.of_int r) 0L 0L 0L)
+  end
+  else divmod_knuth a b
 
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
@@ -280,35 +382,36 @@ let to_int_exn a =
   | Some n -> n
   | None -> invalid_arg "U256.to_int_exn: out of range"
 
-let u64_to_float v =
+let[@inline] u64_to_float v =
   if Int64.compare v 0L >= 0 then Int64.to_float v
   else Int64.to_float v +. 18446744073709551616.0
 
-let to_float a =
+let[@inline] float_of_limbs l0 l1 l2 l3 =
   let two64 = 18446744073709551616.0 in
-  ((u64_to_float a.l3 *. two64 +. u64_to_float a.l2) *. two64 +. u64_to_float a.l1)
+  ((u64_to_float l3 *. two64 +. u64_to_float l2) *. two64 +. u64_to_float l1)
   *. two64
-  +. u64_to_float a.l0
+  +. u64_to_float l0
 
-(* Divide by a small positive divisor (< 2^31), processing 32-bit chunks
-   so every intermediate fits in a signed 63-bit value. *)
-let divmod_small a d =
-  assert (d > 0 && d < 0x40000000);
-  let d64 = Int64.of_int d in
-  let out = Array.make 4 0L in
-  let r = ref 0L in
-  for i = 3 downto 0 do
-    let l = limb a i in
-    let hi32 = Int64.shift_right_logical l 32 in
-    let lo32 = Int64.logand l 0xFFFFFFFFL in
-    let acc_hi = Int64.add (Int64.shift_left !r 32) hi32 in
-    let q_hi = Int64.div acc_hi d64 and r_hi = Int64.rem acc_hi d64 in
-    let acc_lo = Int64.add (Int64.shift_left r_hi 32) lo32 in
-    let q_lo = Int64.div acc_lo d64 and r_lo = Int64.rem acc_lo d64 in
-    out.(i) <- Int64.logor (Int64.shift_left q_hi 32) q_lo;
-    r := r_lo
-  done;
-  (make out.(0) out.(1) out.(2) out.(3), Int64.to_int !r)
+let to_float a = float_of_limbs a.l0 a.l1 a.l2 a.l3
+
+let[@inline] ult x y = Int64.unsigned_compare x y < 0
+
+(* [to_float (sub a b)] without building the difference: the same limbs
+   go through the same fold, so the float is bit-identical. Branch
+   distances take one of these per comparison opcode executed. *)
+let to_float_sub a b =
+  let t1 = Int64.sub a.l1 b.l1 and t2 = Int64.sub a.l2 b.l2 in
+  let w0 = ult a.l0 b.l0 in
+  let w1 = ult a.l1 b.l1 || (w0 && Int64.equal t1 0L) in
+  let w2 = ult a.l2 b.l2 || (w1 && Int64.equal t2 0L) in
+  let t3 = Int64.sub a.l3 b.l3 in
+  float_of_limbs (Int64.sub a.l0 b.l0)
+    (if w0 then Int64.pred t1 else t1)
+    (if w1 then Int64.pred t2 else t2)
+    (if w2 then Int64.pred t3 else t3)
+
+let to_float_abs_difference a b =
+  if ge a b then to_float_sub a b else to_float_sub b a
 
 let to_decimal_string a =
   if is_zero a then "0"

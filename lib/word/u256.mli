@@ -33,6 +33,14 @@ val to_float : t -> float
 (** Nearest float; large values lose precision but preserve ordering
     approximately. Used for branch-distance feedback. *)
 
+val to_float_sub : t -> t -> float
+(** [to_float_sub a b] is [to_float (sub a b)], bit for bit, without
+    allocating the difference. *)
+
+val to_float_abs_difference : t -> t -> float
+(** [to_float_abs_difference a b] is [to_float (abs_difference a b)],
+    bit for bit, without allocating the difference. *)
+
 val of_decimal_string : string -> t
 (** Parses a decimal literal, wrapping modulo [2^256].
     @raise Invalid_argument on empty or non-numeric input. *)

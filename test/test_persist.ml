@@ -154,6 +154,22 @@ let codec_tests =
         | Ok cov ->
           Alcotest.(check string) "stable" (J.to_string j)
             (J.to_string (Mufuzz.Coverage.to_json cov)));
+    unit "coverage of_json rejects pcs the side key cannot encode" (fun () ->
+        let doc pc =
+          let dist = [ ("pc", J.Int pc); ("taken", J.Bool false); ("d", J.Float 2.0) ] in
+          J.Obj [ ("hits", J.List []); ("dists", J.List [ J.Obj dist ]) ]
+        in
+        List.iter
+          (fun pc ->
+            match Mufuzz.Coverage.of_json (doc pc) with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "accepted pc %d" pc)
+          [ -1; min_int; (max_int asr 1) + 1 ];
+        match Mufuzz.Coverage.of_json (doc (max_int asr 1)) with
+        | Error e -> Alcotest.fail e
+        | Ok cov ->
+          Alcotest.(check (option (float 0.0))) "largest pc keeps its side" (Some 2.0)
+            (Mufuzz.Coverage.best_distance cov (max_int asr 1, false)));
     unit "coverage of_json rejects n=0 and dists on covered sides" (fun () ->
         let hit n = J.Obj [ ("pc", J.Int 3); ("taken", J.Bool true); ("n", J.Int n) ] in
         let dist = J.Obj [ ("pc", J.Int 3); ("taken", J.Bool true); ("d", J.Float 1.0) ] in
@@ -254,8 +270,32 @@ let with_field name v ckpt =
     J.Obj (List.map (fun (k, old) -> (k, if k = name then v else old)) fields)
   | j -> j
 
+(* rewrite the pc of the first coverage hit inside a rendered checkpoint *)
+let with_first_hit_pc pc ckpt =
+  let rewrite name f = function
+    | J.Obj fields -> J.Obj (List.map (fun (k, v) -> (k, if k = name then f v else v)) fields)
+    | j -> j
+  in
+  let first_pc = function
+    | J.List (hit :: rest) -> J.List (rewrite "pc" (fun _ -> J.Int pc) hit :: rest)
+    | j -> j
+  in
+  rewrite "snapshot" (rewrite "coverage" (rewrite "hits" first_pc))
+    (Persist.Checkpoint.to_json ckpt)
+
 let checkpoint_tests =
   [
+    unit "rejects coverage pcs outside the side-key range" (fun () ->
+        (* a pc past [max_int asr 1] would alias another side's key *)
+        List.iter
+          (fun pc ->
+            match Persist.Checkpoint.of_json (with_first_hit_pc pc (make_checkpoint ())) with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "accepted coverage pc %d" pc)
+          [ -1; -2; (max_int asr 1) + 1; max_int ];
+        match Persist.Checkpoint.of_json (with_first_hit_pc 7 (make_checkpoint ())) with
+        | Error e -> Alcotest.failf "an in-range pc was rejected: %s" e
+        | Ok _ -> ());
     unit "to_string/of_string round trip, byte-stable" (fun () ->
         let c = make_checkpoint () in
         let s = Persist.Checkpoint.to_string c in

@@ -22,6 +22,30 @@ let gen_u256 =
                  U.shift_left U.one 255; U.sub (U.shift_left U.one 128) U.one ];
       ])
 
+(* Division-shaped words. [gen_u256] never yields a 2- or 3-limb word,
+   so on its own it leaves most of long division's digit-count pairs
+   untried. These mix 1 to 4 significant limbs, words at limb
+   boundaries (2^(64k) and its neighbours) and words of every bit
+   length with their top bit set, the normalisation edge. *)
+let gen_div_u256 =
+  QCheck2.Gen.(
+    let of_limbs ls =
+      List.fold_left (fun acc l -> U.logor (U.shift_left acc 64) (U.of_int64 l)) U.zero ls
+    in
+    oneof
+      [
+        gen_u256;
+        (let* k = int_range 1 4 in
+         map of_limbs (list_repeat k int64));
+        (let* k = int_range 1 3 and* delta = oneofl [ -1; 0; 1 ] in
+         let p = U.shift_left U.one (64 * k) in
+         return
+           (if delta < 0 then U.sub p U.one else if delta > 0 then U.add p U.one else p));
+        (let* bits = int_range 1 256 and* w = gen_u256 in
+         let low = U.shift_right w (256 - bits) in
+         return (U.logor low (U.shift_left U.one (bits - 1))));
+      ])
+
 let print1 = U.to_decimal_string
 let print2 (a, b) = U.to_decimal_string a ^ ", " ^ U.to_decimal_string b
 let print3 (a, b, c) = String.concat ", " (List.map U.to_decimal_string [ a; b; c ])
@@ -36,6 +60,14 @@ let prop1 name f =
 let prop2 name f =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count:500 ~print:print2 gen2 f)
+
+(* Division properties run on division-shaped pairs, with a deeper
+   sweep under QCHECK_LONG. *)
+let prop2_div name f =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name ~count:1000 ~long_factor:50 ~print:print2
+       (QCheck2.Gen.pair gen_div_u256 gen_div_u256)
+       f)
 
 let prop3 name f =
   QCheck_alcotest.to_alcotest
@@ -97,11 +129,54 @@ let ring_laws =
 
 let division =
   [
-    prop2 "divmod identity" (fun (a, b) ->
+    prop2_div "divmod identity" (fun (a, b) ->
         if U.is_zero b then true
         else
           let q, r = U.divmod a b in
           U.equal a (U.add (U.mul q b) r) && U.lt r b);
+    unit "long division add-back vectors" (fun () ->
+        (* Each takes Algorithm D's rare add-back step (the trial
+           quotient digit one too large) at least once; quotient and
+           remainder were computed with arbitrary-precision integers. *)
+        List.iter
+          (fun (a, b, q, r) ->
+            let h = U.of_hex_string in
+            let q', r' = U.divmod (h a) (h b) in
+            Alcotest.check u256 ("quotient of " ^ a) (h q) q';
+            Alcotest.check u256 ("remainder of " ^ a) (h r) r')
+          [
+            ( "0x59ff8000fffe8000fffec118", "0x8000000180008001", "0xb3feffff",
+              "0x71ffa6024c004119" );
+            ( "0x7fff7fff800100002720fffe9db2fffe0000e0b500018000",
+              "0x7fff7fffffffa9d500017fff", "0xffffffff0001ac57fa964e40",
+              "0x550200f0130739eb8537ce40" );
+            ( "0xfffe7fff912800010001486cffff", "0x7ffffffffad04259", "0x1fffcffff370e",
+              "0x6bbfc2fa15214021" );
+            ( "0x8000ffff00008001f2aa000054a27fff8001ffff0001336d80012c488001ecfc",
+              "0x8000ffffffff80018000fffeffff80019e2a8000fffe000080010001ffff",
+              "0xffff",
+              "0x80000000fffff2aa800254a1fffd61d91e288004336b0000ac478004ecfb" );
+          ]);
+    unit "division fast-path boundaries" (fun () ->
+        let p k = U.shift_left U.one k in
+        (* one limb, top bit set: unsigned, not signed, 64-bit division *)
+        let q, r = U.divmod (U.of_int64 (-1L)) (p 63) in
+        Alcotest.check u256 "2^64-1 / 2^63" U.one q;
+        Alcotest.check u256 "2^64-1 mod 2^63" (U.sub (p 63) U.one) r;
+        (* divisors on either side of the 30- and 32-bit short-division
+           limits and of the first long division, against the ring ops *)
+        List.iter
+          (fun k ->
+            List.iter
+              (fun b ->
+                List.iter
+                  (fun a ->
+                    let q, r = U.divmod a b in
+                    if not (U.equal a (U.add (U.mul q b) r) && U.lt r b) then
+                      Alcotest.failf "%s / %s" (U.to_hex_string a) (U.to_hex_string b))
+                  [ U.max_value; p 255; U.add (p 128) (U.of_int 5); U.sub (p 64) U.one ])
+              [ U.sub (p k) U.one; p k; U.add (p k) U.one ])
+          [ 29; 30; 31; 32; 33; 63; 64 ]);
     prop1 "div by zero is zero (EVM)" (fun a -> U.is_zero (U.div a U.zero));
     prop1 "rem by zero is zero (EVM)" (fun a -> U.is_zero (U.rem a U.zero));
     prop1 "div self is one" (fun a ->
@@ -310,16 +385,16 @@ let model =
        a = b * sdiv(a,b) + srem(a,b) mod 2^256, the remainder takes the
        dividend's sign, and |r| < |b|. Covers min_int / -1 too, where
        r = 0 and the identity still holds because b*q wraps back. *)
-    prop2 "sdiv/srem division identity" (fun (a, b) ->
+    prop2_div "sdiv/srem division identity" (fun (a, b) ->
         U.is_zero b
         || U.equal a (U.add (U.mul b (U.sdiv a b)) (U.srem a b)));
-    prop2 "srem sign and magnitude" (fun (a, b) ->
+    prop2_div "srem sign and magnitude" (fun (a, b) ->
         if U.is_zero b then true
         else
           let r = U.srem a b in
           let abs x = if U.is_neg x then U.neg x else x in
           (U.is_zero r || U.is_neg r = U.is_neg a) && U.lt (abs r) (abs b));
-    prop2 "unsigned divmod identity (model mul)" (fun (a, b) ->
+    prop2_div "unsigned divmod identity (model mul)" (fun (a, b) ->
         U.is_zero b
         ||
         let q, r = U.divmod a b in
@@ -341,6 +416,63 @@ let misc =
         U.hash a = U.hash (U.of_bytes_be (U.to_bytes_be a)));
   ]
 
+(* ---------------- branch distances ----------------
+
+   The allocation-free distance helpers must return the very float the
+   word-building definitions return, bit for bit, and
+   [Interp.cmp_dist] must agree with its earlier definition, kept here,
+   on every comparison opcode. Near pairs exercise long borrow chains. *)
+let bits = Int64.bits_of_float
+
+let reference_cmp_dist (op : Evm.Opcode.t) a b =
+  let signed_float x = if U.is_neg x then -.U.to_float (U.neg x) else U.to_float x in
+  match op with
+  | EQ ->
+    let d = U.to_float (U.abs_difference a b) in
+    if d = 0.0 then (0.0, 1.0) else (d, 0.0)
+  | LT ->
+    if U.lt a b then (0.0, U.to_float (U.sub b a))
+    else (U.to_float (U.sub a b) +. 1.0, 0.0)
+  | GT ->
+    if U.gt a b then (0.0, U.to_float (U.sub a b))
+    else (U.to_float (U.sub b a) +. 1.0, 0.0)
+  | SLT ->
+    let sa = signed_float a and sb = signed_float b in
+    if sa < sb then (0.0, sb -. sa) else (sa -. sb +. 1.0, 0.0)
+  | SGT ->
+    let sa = signed_float a and sb = signed_float b in
+    if sa > sb then (0.0, sa -. sb) else (sb -. sa +. 1.0, 0.0)
+  | _ -> invalid_arg "reference_cmp_dist"
+
+let gen_dist_pair =
+  QCheck2.Gen.(
+    oneof
+      [
+        pair gen_div_u256 gen_div_u256;
+        (let* a = gen_div_u256 and* d = int_range (-3) 3 in
+         return (a, if d < 0 then U.sub a (U.of_int (-d)) else U.add a (U.of_int d)));
+        map (fun a -> (a, a)) gen_div_u256;
+      ])
+
+let prop_dist name f =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name ~count:1000 ~long_factor:50 ~print:print2 gen_dist_pair f)
+
+let distances =
+  [
+    prop_dist "to_float_sub is bit-equal to to_float (sub a b)" (fun (a, b) ->
+        bits (U.to_float_sub a b) = bits (U.to_float (U.sub a b)));
+    prop_dist "to_float_abs_difference is bit-equal to to_float (abs_difference a b)"
+      (fun (a, b) ->
+        bits (U.to_float_abs_difference a b) = bits (U.to_float (U.abs_difference a b)));
+    prop_dist "cmp_dist matches the word-building definition" (fun (a, b) ->
+        List.for_all
+          (fun op ->
+            let t, f = Evm.Interp.cmp_dist op a b and t', f' = reference_cmp_dist op a b in
+            bits t = bits t' && bits f = bits f')
+          Evm.Opcode.[ EQ; LT; GT; SLT; SGT ]);
+  ]
+
 let suite =
   [
     ("u256: conversions", conversions);
@@ -350,4 +482,5 @@ let suite =
     ("u256: bitwise", bitwise);
     ("u256: model", model);
     ("u256: misc", misc);
+    ("u256: distances", distances);
   ]
