@@ -283,6 +283,8 @@ let fuzz_cmd =
         ?on_safe_point:(Option.map Persist.Driver.hook driver)
         contract
     in
+    (* shrinking and minimising below are single-domain work *)
+    Mufuzz.Pool.retire_idle ();
     let report = { report with Mufuzz.Report.corpus_skipped } in
     (match artifacts_dir with
     | Some dir ->

@@ -175,4 +175,3 @@ let decode s =
 
 let encode_hex code = Util.Hex.encode (encode code)
 
-let decode_hex h = decode (Util.Hex.decode h)

@@ -22,4 +22,3 @@ val decode : string -> Bytecode.t
 (** @raise Decode_error on unknown opcode bytes or truncated PUSH data. *)
 
 val encode_hex : Bytecode.t -> string
-val decode_hex : string -> Bytecode.t

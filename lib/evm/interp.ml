@@ -425,7 +425,7 @@ let rec exec_frame ctx (state : State.t) ~depth ~code_addr ~storage_addr
     | MUL ->
       let a = pop () and b = pop () in
       let r = U.mul a.v b.v in
-      if (not (U.is_zero a.v)) && not (U.equal (U.div r a.v) b.v) then
+      if U.mul_overflows a.v b.v then
         emit ctx (Arith_overflow { pc = cur_pc; op = "MUL"; taint = T.union a.taint b.taint });
       push (binop (fun _ _ -> r) a b)
     | SUB ->

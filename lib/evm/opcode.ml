@@ -136,10 +136,6 @@ let to_string = function
 
 let pp fmt op = Format.pp_print_string fmt (to_string op)
 
-let is_branch = function JUMPI -> true | _ -> false
-
-let is_comparison = function LT | GT | SLT | SGT | EQ -> true | _ -> false
-
 let base_gas = function
   | STOP | RETURN | REVERT | INVALID -> 0
   | ADD | SUB | LT | GT | SLT | SGT | EQ | ISZERO | AND | OR | XOR | NOT

@@ -85,11 +85,5 @@ type t =
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
-val is_branch : t -> bool
-(** True only for [JUMPI]. *)
-
-val is_comparison : t -> bool
-(** [LT], [GT], [SLT], [SGT], [EQ]. *)
-
 val base_gas : t -> int
 (** Simplified static gas cost used by {!Interp} to bound execution. *)

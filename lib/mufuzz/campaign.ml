@@ -1194,6 +1194,9 @@ let predict_serial st =
 
 let run ?(config = Config.default) ?(sinks = []) ?metrics ?resume ?on_safe_point
     (contract : Minisol.Contract.t) =
+  (* parked workers would stop with every minor collection of this
+     single-domain campaign *)
+  Pool.retire_idle ();
   let metrics =
     match metrics with Some m -> m | None -> Telemetry.Metrics.create ()
   in
@@ -1544,9 +1547,9 @@ let run_parallel ?(config = Config.default) ?pool ?(sinks = []) ?metrics
       match pool with
       | Some p -> run_parallel_on ~ctx ~bus ~metrics ?resume ?on_safe_point p
       | None ->
-        (* a pool created here (rather than passed in) also reports its
+        (* a borrowed pool (rather than one passed in) also reports its
            steal events through the campaign's bus *)
-        Pool.with_pool ~bus ~metrics ~jobs (fun p ->
+        Pool.with_borrowed ~bus ~metrics ~jobs (fun p ->
             run_parallel_on ~ctx ~bus ~metrics ?resume ?on_safe_point p)
     in
     Telemetry.Bus.finalize bus;

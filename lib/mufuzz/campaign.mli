@@ -79,7 +79,8 @@ val run :
     unit) ->
   Minisol.Contract.t ->
   Report.t
-(** Fuzz one contract until the execution budget is exhausted.
+(** Fuzz one contract until the execution budget is exhausted. Shuts
+    down a parked worker pool first ({!Pool.retire_idle}).
 
     Persistence: [?on_safe_point] is invoked at every safe point — the
     top of each selection round (or black-box batch) and once more,
@@ -123,16 +124,17 @@ val run_parallel :
     same code path, bit-for-bit identical results. Parallel runs are
     reproducible for a fixed [(rng_seed, jobs)] pair.
 
-    An explicit [pool] overrides [config.jobs] and lets callers amortise
-    domain spawning across many campaigns; otherwise a pool of
-    [config.jobs] workers is created and shut down internally.
+    An explicit [pool] overrides [config.jobs]; otherwise a pool of
+    [config.jobs] workers is borrowed with {!Pool.with_borrowed}, so
+    back-to-back campaigns reuse one set of parked worker domains
+    instead of spawning and joining their own.
 
     Telemetry follows {!run}: workers emit [Exec_completed] and
     [Mask_updated] from their domains (the bus serialises sink calls),
     the coordinator emits queue/finding/energy events plus one
     [Batch_merge] and the per-round [New_branch_side] diff after each
-    merge, and an internally created pool reports [Pool_steal] events
-    through the same bus. *)
+    merge, and a borrowed pool reports [Pool_steal] events through the
+    same bus. *)
 
 type failure = { failed_contract : string; failed_reason : string }
 (** One corpus member whose deploy or campaign raised. Fleet-scale runs

@@ -2,8 +2,6 @@ type kind = O | I | R | D
 
 let all_kinds = [ O; I; R; D ]
 
-let kind_to_string = function O -> "O" | I -> "I" | R -> "R" | D -> "D"
-
 let kind_index = function O -> 0 | I -> 1 | R -> 2 | D -> 3
 
 type m = { kind : kind; n : int }

@@ -9,7 +9,6 @@
 type kind = O | I | R | D
 
 val all_kinds : kind list
-val kind_to_string : kind -> string
 val kind_index : kind -> int
 (** Stable 0..3 index, used by the mask bitsets. *)
 

@@ -32,11 +32,16 @@ type t = {
   mutable steals : int;
   mutable merge_wait : float;  (* coordinator seconds blocked at barriers *)
   mutable domains : unit Domain.t array;
-  bus : Telemetry.Bus.t;
-  m_tasks : Telemetry.Metrics.counter option;
-  m_steals : Telemetry.Metrics.counter option;
-  m_merge_wait : Telemetry.Metrics.gauge option;
-  m_idle : Telemetry.Metrics.gauge option;
+  (* telemetry, rebound by [attach] between batches: workers read these
+     only after taking a task under the mutex, so a rebinding under the
+     mutex is seen by every later task *)
+  mutable bus : Telemetry.Bus.t;
+  mutable m_tasks : Telemetry.Metrics.counter option;
+  mutable m_steals : Telemetry.Metrics.counter option;
+  mutable m_merge_wait : Telemetry.Metrics.gauge option;
+  mutable m_idle : Telemetry.Metrics.gauge option;
+  mutable merge_wait_base : float;  (* [merge_wait] at the last attach *)
+  mutable idle_base : float;  (* summed [stall_seconds] at the last attach *)
 }
 
 let size t = t.size
@@ -104,14 +109,35 @@ let worker t me =
       Mutex.unlock t.mutex)
   done
 
-let create ?(bus = Telemetry.Bus.null) ?metrics ~jobs () =
-  let jobs = Stdlib.max 1 jobs in
+let sum_stalls t = Array.fold_left ( +. ) 0.0 t.stall_seconds
+
+(* Bind the pool's telemetry to [bus] and [metrics] (both off when
+   omitted) and restart the wait gauges from zero. Callers attach only
+   while no batch is in flight. *)
+let attach ?(bus = Telemetry.Bus.null) ?metrics t =
   let handle name help =
     Option.map (fun m -> Telemetry.Metrics.counter m name ~help) metrics
   in
   let ghandle name help =
     Option.map (fun m -> Telemetry.Metrics.gauge m name ~help) metrics
   in
+  Mutex.lock t.mutex;
+  t.bus <- bus;
+  t.m_tasks <- handle "mufuzz_pool_tasks_total" "tasks completed by the domain pool";
+  t.m_steals <-
+    handle "mufuzz_pool_steals_total" "tasks stolen from a sibling worker's deque";
+  t.m_merge_wait <-
+    ghandle "mufuzz_pool_merge_wait_seconds"
+      "cumulative coordinator seconds blocked at batch barriers";
+  t.m_idle <-
+    ghandle "mufuzz_pool_worker_idle_seconds"
+      "cumulative worker seconds parked while a batch was in flight";
+  t.merge_wait_base <- t.merge_wait;
+  t.idle_base <- sum_stalls t;
+  Mutex.unlock t.mutex
+
+let create ?bus ?metrics ~jobs () =
+  let jobs = Stdlib.max 1 jobs in
   let t =
     {
       size = jobs;
@@ -128,20 +154,16 @@ let create ?(bus = Telemetry.Bus.null) ?metrics ~jobs () =
       steals = 0;
       merge_wait = 0.0;
       domains = [||];
-      bus;
-      m_tasks =
-        handle "mufuzz_pool_tasks_total" "tasks completed by the domain pool";
-      m_steals =
-        handle "mufuzz_pool_steals_total"
-          "tasks stolen from a sibling worker's deque";
-      m_merge_wait =
-        ghandle "mufuzz_pool_merge_wait_seconds"
-          "cumulative coordinator seconds blocked at batch barriers";
-      m_idle =
-        ghandle "mufuzz_pool_worker_idle_seconds"
-          "cumulative worker seconds parked while a batch was in flight";
+      bus = Telemetry.Bus.null;
+      m_tasks = None;
+      m_steals = None;
+      m_merge_wait = None;
+      m_idle = None;
+      merge_wait_base = 0.0;
+      idle_base = 0.0;
     }
   in
+  attach ?bus ?metrics t;
   t.domains <- Array.init jobs (fun i -> Domain.spawn (fun () -> worker t i));
   t
 
@@ -155,13 +177,14 @@ let timed_wait t cond =
   done;
   t.merge_wait <- t.merge_wait +. (Unix.gettimeofday () -. t0)
 
-(* Publish the cumulative wait gauges; caller holds the mutex. *)
+(* Publish the wait gauges, totals since the last attach; caller holds
+   the mutex. *)
 let publish_wait_metrics t =
   (match t.m_merge_wait with
-  | Some g -> Telemetry.Metrics.set g t.merge_wait
+  | Some g -> Telemetry.Metrics.set g (t.merge_wait -. t.merge_wait_base)
   | None -> ());
   match t.m_idle with
-  | Some g -> Telemetry.Metrics.set g (Array.fold_left ( +. ) 0.0 t.stall_seconds)
+  | Some g -> Telemetry.Metrics.set g (sum_stalls t -. t.idle_base)
   | None -> ()
 
 exception Task_error of exn
@@ -289,3 +312,48 @@ let shutdown t =
 let with_pool ?bus ?metrics ~jobs f =
   let t = create ?bus ?metrics ~jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+
+(* The process-wide idle slot: at most one parked pool, kept between
+   [with_borrowed] calls so back-to-back campaigns reuse its domains
+   instead of spawning and joining their own. *)
+let idle_mutex = Mutex.create ()
+let idle : t option ref = ref None
+
+let take_idle () =
+  Mutex.lock idle_mutex;
+  let p = !idle in
+  idle := None;
+  Mutex.unlock idle_mutex;
+  p
+
+let retire_idle () = Option.iter shutdown (take_idle ())
+
+let () = at_exit retire_idle
+
+let borrow ?bus ?metrics ~jobs () =
+  let jobs = Stdlib.max 1 jobs in
+  match take_idle () with
+  | Some t when t.size = jobs ->
+    attach ?bus ?metrics t;
+    t
+  | other ->
+    Option.iter shutdown other;
+    create ?bus ?metrics ~jobs ()
+
+(* Park [t] in the idle slot if no batch is in flight and the slot is
+   free; shut it down otherwise. A parked pool is detached first, so a
+   later steal cannot reach the borrower's (possibly finalized) bus. *)
+let give_back t =
+  Mutex.lock t.mutex;
+  let quiescent = (not t.in_batch) && t.pending = 0 && not t.stop in
+  Mutex.unlock t.mutex;
+  if quiescent then attach t;
+  Mutex.lock idle_mutex;
+  let parked = quiescent && Option.is_none !idle in
+  if parked then idle := Some t;
+  Mutex.unlock idle_mutex;
+  if not parked then shutdown t
+
+let with_borrowed ?bus ?metrics ~jobs f =
+  let t = borrow ?bus ?metrics ~jobs () in
+  Fun.protect ~finally:(fun () -> give_back t) (fun () -> f t)

@@ -10,7 +10,17 @@
 
     One batch may be in flight at a time ({!run_batch} raises
     [Invalid_argument] on overlap); the pool itself is driven from a
-    single coordinator domain. *)
+    single coordinator domain.
+
+    Pools outlive campaigns: {!with_borrowed} parks its pool in a
+    process-wide idle slot for the next caller, and an [at_exit] handler
+    shuts the parked pool down. Per-domain memos in the executor and
+    interpreter (executor state, bytecode artefacts, SHA3 preimages)
+    therefore survive between campaigns; they are pure and capped, and
+    the ABI selector memo grows only with distinct function signatures.
+    OCaml 5's [Unix.fork] refuses to run while other domains exist, so a
+    program that forks must do so before its first borrow or not at all;
+    nothing in this repository forks ([Unix.create_process] is fine). *)
 
 type t
 
@@ -22,8 +32,8 @@ val create :
     [mufuzz_pool_tasks_total] and [mufuzz_pool_steals_total] through
     lock-free counters, and the coordinator publishes the cumulative
     [mufuzz_pool_merge_wait_seconds] / [mufuzz_pool_worker_idle_seconds]
-    gauges at the end of every batch. Both default to off (no
-    overhead). *)
+    gauges (totals since the telemetry was bound) at the end of every
+    batch. Both default to off (no overhead). *)
 
 val size : t -> int
 (** Number of worker domains. *)
@@ -80,3 +90,21 @@ val with_pool :
   (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a fresh pool and always shuts it
     down, including on exceptions. *)
+
+val with_borrowed :
+  ?bus:Telemetry.Bus.t -> ?metrics:Telemetry.Metrics.t -> jobs:int ->
+  (t -> 'a) -> 'a
+(** [with_borrowed ~jobs f] runs [f] with the parked idle pool when it
+    has [max 1 jobs] workers, and otherwise shuts the parked pool down
+    and creates one. Telemetry is bound as by {!create} for the duration
+    of [f], with the wait gauges counting from the borrow. Afterwards
+    the pool is detached from [bus] and [metrics] and parked if no batch
+    is in flight and the slot is empty (a concurrent borrower may have
+    filled it); any other pool is shut down. So concurrent callers each
+    get their own pool, and at most one pool's workers stay parked. *)
+
+val retire_idle : unit -> unit
+(** Shut the parked pool down, if there is one. Parked domains still
+    join OCaml 5's stop-the-world minor collections, which made a
+    sequential campaign about 25% slower on a 2-vCPU host, so long
+    single-domain work retires the pool first ([Campaign.run] does). *)

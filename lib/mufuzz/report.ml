@@ -14,14 +14,6 @@ let stop_reason_to_string = function
   | Stalled -> "stalled"
   | Preempted -> "preempted"
 
-let stop_reason_of_string = function
-  | "budget-exhausted" -> Ok Budget_exhausted
-  | "time-exhausted" -> Ok Time_exhausted
-  | "queue-exhausted" -> Ok Queue_exhausted
-  | "stalled" -> Ok Stalled
-  | "preempted" -> Ok Preempted
-  | s -> Error (Printf.sprintf "unknown stop reason %S" s)
-
 type domain_stat = {
   domain : int;
   d_execs : int;
@@ -68,9 +60,6 @@ let execs_per_sec (d : domain_stat) =
 let coverage_pct t =
   if t.total_branch_sides = 0 then 0.0
   else 100.0 *. float_of_int t.covered_branches /. float_of_int t.total_branch_sides
-
-let has_class t cls =
-  List.exists (fun (f : Oracles.Oracle.finding) -> f.cls = cls) t.findings
 
 let findings_by_class t =
   List.filter_map

@@ -17,8 +17,6 @@ type stop_reason =
 val stop_reason_to_string : stop_reason -> string
 (** Kebab-case tag, as rendered in the JSON report. *)
 
-val stop_reason_of_string : string -> (stop_reason, string) result
-
 type domain_stat = {
   domain : int;  (** worker domain id *)
   d_execs : int;  (** sequence executions this domain performed *)
@@ -91,8 +89,6 @@ val execs_per_sec : domain_stat -> float
 
 val coverage_pct : t -> float
 (** [100 * covered / total]; 0 when the contract has no branches. *)
-
-val has_class : t -> Oracles.Oracle.bug_class -> bool
 
 val findings_by_class : t -> (Oracles.Oracle.bug_class * int) list
 

@@ -15,8 +15,6 @@ module T = Evm.Trace.Taint
 
 type side = Lhs | Rhs
 
-let side_to_string = function Lhs -> "lhs" | Rhs -> "rhs"
-
 (* signed extremes *)
 let smin = U.shift_left U.one 255
 let smax = U.sub smin U.one

@@ -9,8 +9,6 @@
 
 type side = Lhs | Rhs
 
-val side_to_string : side -> string
-
 val smin : Word.U256.t
 (** Two's-complement most-negative word, [2^255]. *)
 

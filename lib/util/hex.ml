@@ -10,8 +10,6 @@ let encode s =
   done;
   Bytes.unsafe_to_string out
 
-let encode_bytes b = encode (Bytes.unsafe_to_string b)
-
 let nibble c =
   match c with
   | '0' .. '9' -> Char.code c - Char.code '0'
@@ -32,8 +30,6 @@ let decode h =
     Bytes.set out i (Char.chr ((nibble h.[2 * i] lsl 4) lor nibble h.[(2 * i) + 1]))
   done;
   Bytes.unsafe_to_string out
-
-let decode_bytes h = Bytes.of_string (decode h)
 
 let of_byte v =
   if v < 0 || v > 255 then invalid_arg "Hex.of_byte";

@@ -21,4 +21,3 @@ let min_max = function
   | x :: rest ->
     List.fold_left (fun (lo, hi) v -> (Stdlib.min lo v, Stdlib.max hi v)) (x, x) rest
 
-let mean_std_string l = Printf.sprintf "%.1f ± %.1f" (mean l) (stddev l)

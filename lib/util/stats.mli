@@ -12,5 +12,3 @@ val median : float list -> float
 val min_max : float list -> float * float
 (** (0, 0) on the empty list. *)
 
-val mean_std_string : float list -> string
-(** ["m ± s"] rendering with one decimal. *)

@@ -307,6 +307,29 @@ let divmod a b =
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
+(* Whether [mul a b] wraps: the high half of the 512-bit product is
+   non-zero. Bit lengths settle every pair except [bit_length a +
+   bit_length b = 257], whose product lies in [2^255, 2^257); there the
+   low half's 16-bit-digit columns are summed with carries, as
+   schoolbook multiplication would, and the carry into bit 256 decides.
+   Nothing is allocated: the EVM asks this on every MUL. *)
+let mul_overflows a b =
+  let la = bit_length a and lb = bit_length b in
+  if la = 0 || lb = 0 || la + lb <= 256 then false
+  else if la + lb > 257 then true
+  else begin
+    let na = (la + 15) / 16 and nb = (lb + 15) / 16 in
+    let carry = ref 0 in
+    for k = 0 to 15 do
+      let sum = ref !carry in
+      for i = Stdlib.max 0 (k - nb + 1) to Stdlib.min k (na - 1) do
+        sum := !sum + (digit a 16 i * digit b 16 (k - i))
+      done;
+      carry := !sum lsr 16
+    done;
+    !carry <> 0
+  end
+
 let slt a b =
   match (is_neg a, is_neg b) with
   | true, false -> true

@@ -78,6 +78,10 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
 
+val mul_overflows : t -> t -> bool
+(** [mul_overflows a b] is true iff [a * b >= 2^256], i.e. {!mul}
+    wraps. Allocates nothing. *)
+
 val div : t -> t -> t
 (** Unsigned division; [div x zero = zero] (EVM convention). *)
 

@@ -336,10 +336,108 @@ let campaign_tests =
         ());
   ]
 
+(* ------------------------------------------------------------------ *)
+(* borrowed pools                                                      *)
+
+(* The domains a pool's [jobs] workers run on: one task per worker, each
+   held until every worker has taken one, so no worker can steal a
+   sibling's task. *)
+let worker_domains pool =
+  let jobs = Mufuzz.Pool.size pool in
+  let started = Atomic.make 0 in
+  let task _ =
+    Atomic.incr started;
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while Atomic.get started < jobs && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    (Domain.self () :> int)
+  in
+  let ids = Mufuzz.Pool.run_batch pool (Array.make jobs task) in
+  List.sort_uniq compare (Array.to_list ids)
+
+let borrowed_domains jobs = Mufuzz.Pool.with_borrowed ~jobs worker_domains
+
+let disjoint a b = List.for_all (fun x -> not (List.mem x b)) a
+
+let borrow_tests =
+  let config = { Mufuzz.Config.default with max_executions = 300; jobs = 2 } in
+  let on_fresh_pool ?metrics c =
+    Mufuzz.Pool.with_pool ?metrics ~jobs:2 (fun pool ->
+        Mufuzz.Campaign.run_parallel ~config ~pool ?metrics c)
+  in
+  [
+    unit "consecutive borrowed campaigns report as on fresh pools" (fun () ->
+        let c = Lazy.force crowdsale in
+        let a = Mufuzz.Campaign.run_parallel ~config c in
+        let b = Mufuzz.Campaign.run_parallel ~config c in
+        let fresh = on_fresh_pool c in
+        Alcotest.(check bool) "first borrow" true (essence a = essence fresh);
+        Alcotest.(check bool) "second borrow" true (essence b = essence fresh));
+    unit "a second borrow at the same jobs reuses the parked domains" (fun () ->
+        let a = borrowed_domains 2 in
+        Alcotest.(check int) "two workers" 2 (List.length a);
+        Alcotest.(check (list int)) "same domains" a (borrowed_domains 2));
+    unit "a borrow at another jobs replaces the parked pool" (fun () ->
+        let two = borrowed_domains 2 in
+        let three = borrowed_domains 3 in
+        Alcotest.(check int) "three workers" 3 (List.length three);
+        Alcotest.(check bool) "new domains" true (disjoint two three);
+        Alcotest.(check (list int)) "now parked" three (borrowed_domains 3);
+        (* the two-worker pool was shut down, not kept beside the other *)
+        let two' = borrowed_domains 2 in
+        Alcotest.(check bool) "fresh again" true
+          (disjoint two' two && disjoint two' three));
+    unit "pool telemetry counts only the borrowing campaign" (fun () ->
+        let c = Lazy.force crowdsale in
+        let tasks m =
+          Telemetry.Metrics.value (Telemetry.Metrics.counter m "mufuzz_pool_tasks_total")
+        in
+        let merge_wait m =
+          Telemetry.Metrics.gauge_value
+            (Telemetry.Metrics.gauge m "mufuzz_pool_merge_wait_seconds")
+        in
+        let m1 = Telemetry.Metrics.create () and m2 = Telemetry.Metrics.create () in
+        ignore (Mufuzz.Campaign.run_parallel ~config ~metrics:m1 c);
+        let r2 = Mufuzz.Campaign.run_parallel ~config ~metrics:m2 c in
+        let mf = Telemetry.Metrics.create () in
+        ignore (on_fresh_pool ~metrics:mf c);
+        Alcotest.(check bool) "tasks counted" true (tasks mf > 0);
+        Alcotest.(check int) "first campaign's tasks" (tasks mf) (tasks m1);
+        Alcotest.(check int) "second campaign's tasks" (tasks mf) (tasks m2);
+        match r2.parallel with
+        | Some p ->
+          Alcotest.(check (float 0.0))
+            "merge wait since the borrow" p.merge_wait_seconds (merge_wait m2)
+        | None -> Alcotest.fail "parallel stats missing");
+    unit "a sequential campaign retires the parked pool" (fun () ->
+        let before = borrowed_domains 2 in
+        ignore
+          (Mufuzz.Campaign.run
+             ~config:{ config with max_executions = 50; jobs = 1 }
+             (Lazy.force crowdsale));
+        Alcotest.(check bool) "fresh domains" true
+          (disjoint before (borrowed_domains 2)));
+    unit "a borrow whose task raised leaves a usable pool" (fun () ->
+        let c = Lazy.force crowdsale in
+        let before = borrowed_domains 2 in
+        (match
+           Mufuzz.Pool.with_borrowed ~jobs:2 (fun p ->
+               Mufuzz.Pool.run_batch p [| (fun _ -> ()); (fun _ -> failwith "boom") |])
+         with
+        | _ -> Alcotest.fail "expected Task_error"
+        | exception Mufuzz.Pool.Task_error (Failure _) -> ());
+        Alcotest.(check (list int)) "still parked" before (borrowed_domains 2);
+        let r = Mufuzz.Campaign.run_parallel ~config c in
+        Alcotest.(check bool) "next campaign runs" true
+          (essence r = essence (on_fresh_pool c)));
+  ]
+
 let suite =
   [
     ("parallel: coverage merge", merge_tests);
     ("parallel: rng streams", derive_tests);
     ("parallel: pool", pool_tests);
     ("parallel: campaign", campaign_tests);
+    ("parallel: borrowed pool", borrow_tests);
   ]

@@ -69,6 +69,18 @@ let prop2_div name f =
        (QCheck2.Gen.pair gen_div_u256 gen_div_u256)
        f)
 
+(* Pairs whose bit lengths sum to 257, the one case in which
+   [mul_overflows] cannot answer from bit lengths alone. *)
+let gen_mul_boundary =
+  QCheck2.Gen.(
+    let top bits w = U.logor (U.shift_right w (256 - bits)) (U.shift_left U.one (bits - 1)) in
+    let* la = int_range 1 256 and* wa = gen_u256 and* wb = gen_u256 in
+    return (top la wa, top (257 - la) wb))
+
+(* The overflow check [mul_overflows] replaces in the interpreter. *)
+let mul_wraps_by_division a b =
+  (not (U.is_zero a)) && not (U.equal (U.div (U.mul a b) a) b)
+
 let prop3 name f =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count:500 ~print:print3 gen3 f)
@@ -177,6 +189,30 @@ let division =
                   [ U.max_value; p 255; U.add (p 128) (U.of_int 5); U.sub (p 64) U.one ])
               [ U.sub (p k) U.one; p k; U.add (p k) U.one ])
           [ 29; 30; 31; 32; 33; 63; 64 ]);
+    prop2_div "mul_overflows matches the division check" (fun (a, b) ->
+        U.mul_overflows a b = mul_wraps_by_division a b);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"mul_overflows at bit lengths summing to 257"
+         ~count:1000 ~long_factor:50 ~print:print2 gen_mul_boundary (fun (a, b) ->
+           U.mul_overflows a b = mul_wraps_by_division a b));
+    unit "mul_overflows boundary vectors" (fun () ->
+        let p k = U.shift_left U.one k in
+        List.iter
+          (fun (a, b, expect) ->
+            Alcotest.(check bool)
+              (U.to_hex_string a ^ " * " ^ U.to_hex_string b)
+              expect (U.mul_overflows a b);
+            Alcotest.(check bool) "commutes" expect (U.mul_overflows b a))
+          [
+            (p 128, U.sub (p 128) U.one, false);
+            (U.add (p 128) U.one, U.sub (p 128) U.one, false);
+            (U.add (p 128) (U.of_int 2), U.sub (p 128) U.one, true);
+            (p 128, p 128, true);
+            (p 255, U.of_int 2, true);
+            (p 255, U.one, false);
+            (U.max_value, U.one, false);
+            (U.max_value, U.zero, false);
+          ]);
     prop1 "div by zero is zero (EVM)" (fun a -> U.is_zero (U.div a U.zero));
     prop1 "rem by zero is zero (EVM)" (fun a -> U.is_zero (U.rem a U.zero));
     prop1 "div self is one" (fun a ->
