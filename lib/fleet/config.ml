@@ -50,25 +50,13 @@ let to_json t =
     ]
 
 let of_json json =
-  let ( let* ) = Result.bind in
-  let field name conv =
-    match Option.bind (J.member name json) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "fleet config: missing or ill-typed %S" name)
-  in
-  let* tools =
-    field "tools" (fun j ->
-        Option.bind (J.to_list j) (fun l ->
-            let names = List.filter_map J.string_value l in
-            if List.length names = List.length l then Some names else None))
-  in
-  let* budget_small = field "budget_small" J.to_int in
-  let* budget_large = field "budget_large" J.to_int in
-  let* seed =
-    field "seed" (fun j -> Option.bind (J.string_value j) Int64.of_string_opt)
-  in
-  let* checkpoint_every = field "checkpoint_every" J.to_int in
-  let* buckets = field "buckets" J.to_int in
+  let open J.Decode in
+  let* tools = field "tools" (list string) json in
+  let* budget_small = field "budget_small" int json in
+  let* budget_large = field "budget_large" int json in
+  let* seed = field "seed" int64_decimal json in
+  let* checkpoint_every = field "checkpoint_every" int json in
+  let* buckets = field "buckets" int json in
   if buckets < 1 then Error "fleet config: buckets must be >= 1"
   else if budget_small < 1 || budget_large < 1 then
     Error "fleet config: budgets must be >= 1"

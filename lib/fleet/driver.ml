@@ -401,15 +401,16 @@ let daemon_run_tool ~clients ~rr ~(config : Config.t) ~poll_interval
 
 let run_daemons ~counters ~bus ~options ~addrs ledger0 =
   let ( let* ) = Result.bind in
-  let* clients =
-    List.fold_left
-      (fun acc addr ->
-        let* acc = acc in
-        let* c = Client.connect addr in
-        Ok ((addr, c) :: acc))
-      (Ok []) addrs
-    |> Result.map (fun l -> Array.of_list (List.rev l))
+  let rec connect_all acc = function
+    | [] -> Ok (Array.of_list (List.rev acc))
+    | addr :: rest -> (
+      match Client.connect addr with
+      | Ok c -> connect_all ((addr, c) :: acc) rest
+      | Error e ->
+        List.iter (fun (_, c) -> Client.close c) acc;
+        Error e)
   in
+  let* clients = connect_all [] addrs in
   if Array.length clients = 0 then Error "daemon dispatch needs at least one daemon"
   else begin
     let rr = ref 0 in

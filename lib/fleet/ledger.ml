@@ -103,57 +103,36 @@ let to_json t =
       ("shards", J.List (Array.to_list (Array.map state_json t.lg_states)));
     ]
 
-let field json name conv =
-  match Option.bind (J.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
-
 let state_of_json json =
-  let ( let* ) = Result.bind in
-  let* tag = field json "state" J.string_value in
+  let open J.Decode in
+  let* tag = field "state" string json in
   match tag with
   | "pending" -> Ok Pending
   | "leased" ->
-    let* l_worker = field json "worker" J.to_int in
+    let* l_worker = field "worker" int json in
     Ok (Leased { l_worker })
   | "done" ->
-    let* d_contracts = field json "contracts" J.to_int in
-    let* d_failed = field json "failed" J.to_int in
+    let* d_contracts = field "contracts" int json in
+    let* d_failed = field "failed" int json in
     Ok (Done { d_contracts; d_failed })
   | other -> Error (Printf.sprintf "unknown shard state %S" other)
 
 let of_json json =
-  let ( let* ) = Result.bind in
-  let* format = field json "format" J.string_value in
-  if format <> format_tag then
-    Error (Printf.sprintf "ledger format is %S, want %S" format format_tag)
+  let open J.Decode in
+  let* () = header ~format:format_tag ~version:current_version json in
+  let* lg_manifest_hash = field "manifest_hash" string json in
+  let* lg_config_digest = field "config_digest" string json in
+  let* lg_reassignments = field "reassignments" int json in
+  let* states = field "shards" (list state_of_json) json in
+  if states = [] then Error "shards: empty list"
   else
-    let* version = field json "version" J.to_int in
-    if version <> current_version then
-      Error (Printf.sprintf "unsupported ledger version %d" version)
-    else
-      let* lg_manifest_hash = field json "manifest_hash" J.string_value in
-      let* lg_config_digest = field json "config_digest" J.string_value in
-      let* lg_reassignments = field json "reassignments" J.to_int in
-      let* shard_list = field json "shards" J.to_list in
-      let* states =
-        List.fold_left
-          (fun acc j ->
-            let* acc = acc in
-            let* s = state_of_json j in
-            Ok (s :: acc))
-          (Ok []) shard_list
-        |> Result.map List.rev
-      in
-      if states = [] then Error "ledger: empty shard list"
-      else
-        Ok
-          {
-            lg_manifest_hash;
-            lg_config_digest;
-            lg_states = Array.of_list states;
-            lg_reassignments;
-          }
+    Ok
+      {
+        lg_manifest_hash;
+        lg_config_digest;
+        lg_states = Array.of_list states;
+        lg_reassignments;
+      }
 
 let save ~dir t =
   Util.Fileio.write_atomic (Filename.concat dir file)
@@ -163,9 +142,9 @@ let load ~dir =
   let path = Filename.concat dir file in
   if not (Sys.file_exists path) then Ok None
   else
-    match J.of_string (String.trim (Util.Fileio.read_file path)) with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok json -> (
-      match of_json json with
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)
-      | Ok t -> Ok (Some t))
+    match Util.Fileio.read_file path with
+    | exception Sys_error e -> Error e
+    | content ->
+      Result.bind (J.of_string (String.trim content)) of_json
+      |> Result.map Option.some
+      |> Result.map_error (Printf.sprintf "%s: %s" path)

@@ -116,53 +116,31 @@ let write_list ~dir ~shards entries =
 
 (* ---------------- reading ---------------- *)
 
-let field json name conv =
-  match Option.bind (J.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
-
-let check_format json ~tag =
-  let ( let* ) = Result.bind in
-  let* format = field json "format" J.string_value in
-  if format <> tag then Error (Printf.sprintf "format is %S, want %S" format tag)
-  else
-    let* version = field json "version" J.to_int in
-    if version <> current_version then
-      Error
-        (Printf.sprintf "unsupported version %d (this build reads %d)" version
-           current_version)
-    else Ok ()
+open J.Decode
 
 let load_manifest dir =
   let path = Filename.concat dir manifest_file in
-  let ( let* ) = Result.bind in
   let* content =
     try Ok (Util.Fileio.read_file path)
     with Sys_error e -> Error (Printf.sprintf "%s: %s" path e)
   in
-  let with_path r = Result.map_error (Printf.sprintf "%s: %s" path) r in
-  let* json = with_path (J.of_string (String.trim content)) in
-  let* () = with_path (check_format json ~tag:manifest_tag) in
-  let* total = with_path (field json "total" J.to_int) in
-  let* shard_list = with_path (field json "shards" J.to_list) in
-  let* infos =
-    with_path
-      (List.fold_left
-         (fun acc j ->
-           let* acc = acc in
-           let* si_file = field j "file" J.string_value in
-           let* si_count = field j "count" J.to_int in
-           let* si_hash = field j "entries_hash" J.string_value in
-           Ok ({ si_file; si_count; si_hash } :: acc))
-         (Ok []) shard_list)
+  let shard_info j =
+    let* si_file = field "file" string j in
+    let* si_count = field "count" int j in
+    let* si_hash = field "entries_hash" string j in
+    Ok { si_file; si_count; si_hash }
   in
-  let infos = List.rev infos in
-  let counted = List.fold_left (fun n s -> n + s.si_count) 0 infos in
-  if counted <> total then
-    Error
-      (Printf.sprintf "%s: shard counts sum to %d, manifest total says %d" path
-         counted total)
-  else Ok { m_total = total; m_shards = infos }
+  Result.map_error (Printf.sprintf "%s: %s" path)
+    (let* json = J.of_string (String.trim content) in
+     let* () = header ~format:manifest_tag ~version:current_version json in
+     let* total = field "total" int json in
+     let* infos = field "shards" (list shard_info) json in
+     let counted = List.fold_left (fun n s -> n + s.si_count) 0 infos in
+     if counted <> total then
+       Error
+         (Printf.sprintf "shard counts sum to %d, manifest total says %d"
+            counted total)
+     else Ok { m_total = total; m_shards = infos })
 
 let manifest_digest dir =
   let path = Filename.concat dir manifest_file in
@@ -170,10 +148,9 @@ let manifest_digest dir =
   with Sys_error e -> Error (Printf.sprintf "%s: %s" path e)
 
 let parse_entry json =
-  let ( let* ) = Result.bind in
-  let* name = field json "name" J.string_value in
-  let* source = field json "source" J.string_value in
-  let* expected = field json "source_hash" J.string_value in
+  let* name = field "name" string json in
+  let* source = field "source" string json in
+  let* expected = field "source_hash" string json in
   let actual = source_hash source in
   if actual <> expected then
     Error
@@ -200,28 +177,20 @@ let fold ~dir ~shard ~manifest ~init ~f =
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () ->
-          let ( let* ) = Result.bind in
           let read_line what =
             match input_line ic with
             | line -> Ok line
             | exception End_of_file -> fail "truncated: missing %s" what
+            | exception Sys_error e -> fail "%s" e
           in
           let* header_line = read_line "header line" in
-          let* header =
+          let* k, count =
             Result.map_error (Printf.sprintf "%s: header: %s" path)
-              (J.of_string header_line)
-          in
-          let* () =
-            Result.map_error (Printf.sprintf "%s: header: %s" path)
-              (check_format header ~tag:format_tag)
-          in
-          let* k =
-            Result.map_error (Printf.sprintf "%s: header: %s" path)
-              (field header "shard" J.to_int)
-          in
-          let* count =
-            Result.map_error (Printf.sprintf "%s: header: %s" path)
-              (field header "count" J.to_int)
+              (let* h = J.of_string header_line in
+               let* () = header ~format:format_tag ~version:current_version h in
+               let* k = field "shard" int h in
+               let* count = field "count" int h in
+               Ok (k, count))
           in
           if k <> shard then fail "header names shard %d, expected %d" k shard
           else if count <> info.si_count then

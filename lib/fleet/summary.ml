@@ -152,39 +152,29 @@ let obs_of_report (r : Mufuzz.Report.t) =
            r.occurrences);
   }
 
-let json_field json name conv =
-  match Option.bind (J.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
-
 (* Same observation, but from the JSON report a serve daemon returns
    (the daemon-dispatch path never has the in-memory [Report.t]). *)
 let obs_of_report_json json =
-  let ( let* ) = Result.bind in
-  let* o_execs = json_field json "executions" J.to_int in
-  let* o_steps = json_field json "steps" J.to_int in
-  let* o_total_sides = json_field json "total_branch_sides" J.to_int in
-  let* o_final_covered = json_field json "covered_branches" J.to_int in
-  let* over_time = json_field json "over_time" J.to_list in
+  let open J.Decode in
+  let* o_execs = field "executions" int json in
+  let* o_steps = field "steps" int json in
+  let* o_total_sides = field "total_branch_sides" int json in
+  let* o_final_covered = field "covered_branches" int json in
   let* o_over_time =
-    List.fold_left
-      (fun acc cp ->
-        let* acc = acc in
-        let* e = json_field cp "execs" J.to_int in
-        let* c = json_field cp "covered" J.to_int in
-        Ok ((e, c) :: acc))
-      (Ok []) over_time
-    |> Result.map List.rev
+    field "over_time"
+      (list (fun cp ->
+           let* e = field "execs" int cp in
+           let* c = field "covered" int cp in
+           Ok (e, c)))
+      json
   in
-  let* uniq = json_field json "unique_findings" J.to_list in
   let* pairs =
-    List.fold_left
-      (fun acc u ->
-        let* acc = acc in
-        let* cls = json_field u "class" J.string_value in
-        let* count = json_field u "count" J.to_int in
-        Ok ((cls, count) :: acc))
-      (Ok []) uniq
+    field "unique_findings"
+      (list (fun u ->
+           let* cls = field "class" string u in
+           let* count = field "count" int u in
+           Ok (cls, count)))
+      json
   in
   Ok
     {
@@ -243,83 +233,57 @@ let to_json t =
     ]
 
 let of_json json =
-  let ( let* ) = Result.bind in
-  let* format = json_field json "format" J.string_value in
-  if format <> format_tag then
-    Error (Printf.sprintf "summary format is %S, want %S" format format_tag)
+  let open J.Decode in
+  let* () = header ~format:format_tag ~version:current_version json in
+  let* s_buckets = field "buckets" int json in
+  if s_buckets < 1 then Error "buckets: must be >= 1"
   else
-    let* version = json_field json "version" J.to_int in
-    if version <> current_version then
-      Error (Printf.sprintf "unsupported summary version %d" version)
-    else
-      let* s_buckets = json_field json "buckets" J.to_int in
-      if s_buckets < 1 then Error "summary: buckets must be >= 1"
+    let* s_contracts = field "contracts" int json in
+    let* s_execs = field "execs" int json in
+    let* s_steps = field "steps" int json in
+    let* s_failed =
+      field "failed"
+        (list (fun f ->
+             let* name = field "name" string f in
+             let* reason = field "reason" string f in
+             Ok (name, reason)))
+        json
+    in
+    let curve j =
+      let* curve = list int j in
+      if List.length curve = s_buckets then Ok (Array.of_list curve)
       else
-        let* s_contracts = json_field json "contracts" J.to_int in
-        let* s_execs = json_field json "execs" J.to_int in
-        let* s_steps = json_field json "steps" J.to_int in
-        let* failed = json_field json "failed" J.to_list in
-        let* s_failed =
-          List.fold_left
-            (fun acc f ->
-              let* acc = acc in
-              let* name = json_field f "name" J.string_value in
-              let* reason = json_field f "reason" J.string_value in
-              Ok ((name, reason) :: acc))
-            (Ok []) failed
-          |> Result.map (List.sort compare)
-        in
-        let* cells = json_field json "cells" J.to_list in
-        let* s_cells =
-          List.fold_left
-            (fun acc cj ->
-              let* acc = acc in
-              let* tool = json_field cj "tool" J.string_value in
-              let* size = json_field cj "size" J.string_value in
-              let* c_n = json_field cj "n" J.to_int in
-              let* c_final_upct = json_field cj "final_upct" J.to_int in
-              let* curve = json_field cj "curve" J.to_list in
-              let* curve =
-                List.fold_left
-                  (fun acc v ->
-                    let* acc = acc in
-                    match J.to_int v with
-                    | Some n -> Ok (n :: acc)
-                    | None -> Error "summary: non-integer curve point")
-                  (Ok []) curve
-                |> Result.map List.rev
-              in
-              if List.length curve <> s_buckets then
-                Error
-                  (Printf.sprintf
-                     "summary: cell (%s, %s) curve has %d points, buckets=%d"
-                     tool size (List.length curve) s_buckets)
-              else
-                let* classes = json_field cj "classes" J.to_list in
-                let* c_classes =
-                  List.fold_left
-                    (fun acc kj ->
-                      let* acc = acc in
-                      let* cls = json_field kj "class" J.string_value in
-                      let* n = json_field kj "contracts" J.to_int in
-                      let* occ = json_field kj "occurrences" J.to_int in
-                      Ok ((cls, (n, occ)) :: acc))
-                    (Ok []) classes
-                  |> Result.map (List.sort compare)
-                in
-                Ok
-                  (( (tool, size),
-                     {
-                       c_n;
-                       c_final_upct;
-                       c_curve = Array.of_list curve;
-                       c_classes;
-                     } )
-                  :: acc))
-            (Ok []) cells
-          |> Result.map (List.sort (fun (a, _) (b, _) -> compare a b))
-        in
-        Ok { s_buckets; s_contracts; s_execs; s_steps; s_failed; s_cells }
+        Error
+          (Printf.sprintf "%d points, buckets=%d" (List.length curve) s_buckets)
+    in
+    let cls j =
+      let* cls = field "class" string j in
+      let* n = field "contracts" int j in
+      let* occ = field "occurrences" int j in
+      Ok (cls, (n, occ))
+    in
+    let cell j =
+      let* tool = field "tool" string j in
+      let* size = field "size" string j in
+      let* c_n = field "n" int j in
+      let* c_final_upct = field "final_upct" int j in
+      let* c_curve = field "curve" curve j in
+      let* c_classes = field "classes" (list cls) j in
+      Ok
+        ( (tool, size),
+          { c_n; c_final_upct; c_curve; c_classes = List.sort compare c_classes }
+        )
+    in
+    let* s_cells = field "cells" (list cell) json in
+    Ok
+      {
+        s_buckets;
+        s_contracts;
+        s_execs;
+        s_steps;
+        s_failed = List.sort compare s_failed;
+        s_cells = List.sort (fun (a, _) (b, _) -> compare a b) s_cells;
+      }
 
 let to_string t = J.to_string (to_json t)
 

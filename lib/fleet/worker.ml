@@ -47,38 +47,26 @@ let load_progress ~dir ~shard ~buckets =
   let path = Filename.concat dir progress_file in
   if not (Sys.file_exists path) then Ok (0, Summary.empty ~buckets)
   else
-    let ( let* ) = Result.bind in
-    let fail fmt = Printf.ksprintf (fun s -> Error (path ^ ": " ^ s)) fmt in
-    let* json =
-      Result.map_error (Printf.sprintf "%s: %s" path)
-        (J.of_string (String.trim (Util.Fileio.read_file path)))
-    in
-    let field name conv =
-      match Option.bind (J.member name json) conv with
-      | Some v -> Ok v
-      | None -> fail "missing or ill-typed field %S" name
-    in
-    let* format = field "format" J.string_value in
-    if format <> progress_format then fail "format is %S" format
-    else
-      let* version = field "version" J.to_int in
-      if version <> progress_version then fail "unsupported version %d" version
-      else
-        let* k = field "shard" J.to_int in
-        if k <> shard then fail "progress is for shard %d, expected %d" k shard
-        else
-          let* done_ = field "done" J.to_int in
-          let* summary =
-            match J.member "summary" json with
-            | None -> fail "missing field \"summary\""
-            | Some sj ->
-              Result.map_error (Printf.sprintf "%s: %s" path)
-                (Summary.of_json sj)
-          in
-          if summary.Summary.s_buckets <> buckets then
-            fail "progress buckets %d, config says %d"
-              summary.Summary.s_buckets buckets
-          else Ok (done_, summary)
+    let open J.Decode in
+    Result.map_error (Printf.sprintf "%s: %s" path)
+      (let* content =
+         try Ok (Util.Fileio.read_file path) with Sys_error e -> Error e
+       in
+       let* json = J.of_string (String.trim content) in
+       let* () =
+         header ~format:progress_format ~version:progress_version json
+       in
+       let* k = field "shard" int json in
+       if k <> shard then
+         Error (Printf.sprintf "progress is for shard %d, expected %d" k shard)
+       else
+         let* done_ = field "done" int json in
+         let* summary = field "summary" Summary.of_json json in
+         if summary.Summary.s_buckets <> buckets then
+           Error
+             (Printf.sprintf "progress buckets %d, config says %d"
+                summary.Summary.s_buckets buckets)
+         else Ok (done_, summary))
 
 let touch path =
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in

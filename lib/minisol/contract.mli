@@ -17,6 +17,12 @@ val compile : string -> t
 (** Parse, check and compile a contract from source.
     @raise Parser.Parse_error, Lexer.Lex_error or Typecheck.Type_error. *)
 
+val of_embedded :
+  name:string -> source_hash:string -> source:string -> (t, string) result
+(** The self-contained-document check (checkpoints, repro artifacts):
+    [source] must hash (Keccak-256, hex) to [source_hash], compile, and
+    declare the contract [name]. Never raises. *)
+
 val compile_ast : Ast.contract -> source:string -> t
 
 val constructor_abi : t -> Abi.func

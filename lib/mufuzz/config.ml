@@ -98,7 +98,7 @@ let sequence_mode_of_string = function
   | "random" -> Ok Seq_random
   | "dataflow" -> Ok Seq_dataflow
   | "dataflow-repeat" -> Ok Seq_dataflow_repeat
-  | s -> Error (Printf.sprintf "config: unknown sequence mode %S" s)
+  | s -> Error (Printf.sprintf "unknown sequence mode %S" s)
 
 let to_json t =
   J.Obj
@@ -144,30 +144,12 @@ let to_json t =
     ]
 
 let of_json ~abi j =
-  let ( let* ) = Result.bind in
-  let field name conv =
-    match Option.bind (J.member name j) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "config: missing or invalid field %s" name)
-  in
-  let int name = field name J.to_int in
-  let flt name = field name J.to_float in
-  let bol name = field name J.to_bool in
-  let str name = field name J.string_value in
-  let opt_str name =
-    match J.member name j with
-    | Some J.Null | None -> Ok None
-    | Some v -> (
-      match J.string_value v with
-      | Some s -> Ok (Some s)
-      | None -> Error (Printf.sprintf "config: field %s must be a string or null" name))
-  in
-  let* rng_seed =
-    let* s = str "rng_seed" in
-    match Int64.of_string_opt s with
-    | Some v -> Ok v
-    | None -> Error "config: rng_seed is not a 64-bit decimal"
-  in
+  let open J.Decode in
+  let int name = field name int j in
+  let flt name = field name float j in
+  let bol name = field name bool j in
+  let opt_str name = field_opt name string j in
+  let* rng_seed = field "rng_seed" int64_decimal j in
   let* jobs = int "jobs" in
   let* round_batch = int "round_batch" in
   let* max_executions = int "max_executions" in
@@ -176,7 +158,13 @@ let of_json ~abi j =
   let* initial_seeds = int "initial_seeds" in
   let* base_energy = int "base_energy" in
   let* max_energy = int "max_energy" in
-  let* sequence_mode = Result.bind (str "sequence_mode") sequence_mode_of_string in
+  let* sequence_mode =
+    field "sequence_mode"
+      (fun v ->
+        let* s = string v in
+        sequence_mode_of_string s)
+      j
+  in
   let* mask_guided = bol "mask_guided" in
   let* dynamic_energy = bol "dynamic_energy" in
   let* distance_feedback = bol "distance_feedback" in
@@ -191,16 +179,7 @@ let of_json ~abi j =
   let* predict_attempts = int "predict_attempts" in
   let* predict_max_candidates = int "predict_max_candidates" in
   let* attacker_enabled = bol "attacker_enabled" in
-  let* initial_corpus =
-    let* l = field "initial_corpus" J.to_list in
-    List.fold_left
-      (fun acc s ->
-        let* acc = acc in
-        let* seed = Seed.of_json ~abi s in
-        Ok (seed :: acc))
-      (Ok []) l
-    |> Result.map List.rev
-  in
+  let* initial_corpus = field "initial_corpus" (list (Seed.of_json ~abi)) j in
   let* strict_corpus = bol "strict_corpus" in
   let* nested_coeff = flt "nested_coeff" in
   let* vuln_bonus = flt "vuln_bonus" in

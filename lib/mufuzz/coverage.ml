@@ -132,54 +132,30 @@ let to_json t =
   J.Obj [ ("hits", J.List hits); ("dists", J.List dists) ]
 
 let of_json j =
-  let ( let* ) = Result.bind in
-  let key_of j =
-    match
-      ( Option.bind (J.member "pc" j) J.to_int,
-        Option.bind (J.member "taken" j) J.to_bool )
-    with
-    | Some pc, Some _ when pc < 0 || pc > max_key_pc ->
-      Error (Printf.sprintf "coverage: pc %d out of range" pc)
-    | Some pc, Some taken -> Ok (key pc taken)
-    | _ -> Error "coverage: branch needs pc/taken"
+  let open J.Decode in
+  let side j =
+    let* pc = field "pc" int j in
+    let* taken = field "taken" bool j in
+    if pc < 0 || pc > max_key_pc then Error (Printf.sprintf "pc %d out of range" pc)
+    else Ok (key pc taken)
   in
-  let* hits =
-    match Option.bind (J.member "hits" j) J.to_list with
-    | None -> Error "coverage: missing hits list"
-    | Some l -> Ok l
+  let hit j =
+    let* k = side j in
+    let* n = field "n" int j in
+    if n >= 1 then Ok (k, n) else Error "hit entry needs n >= 1"
   in
-  let* dists =
-    match Option.bind (J.member "dists" j) J.to_list with
-    | None -> Error "coverage: missing dists list"
-    | Some l -> Ok l
+  let dist j =
+    let* k = side j in
+    let* d = field "d" float j in
+    Ok (k, d)
   in
+  let* hits = field "hits" (list hit) j in
+  let* dists = field "dists" (list dist) j in
   let t = create () in
-  let* () =
-    List.fold_left
-      (fun acc entry ->
-        let* () = acc in
-        let* k = key_of entry in
-        match Option.bind (J.member "n" entry) J.to_int with
-        | Some n when n >= 1 ->
-          Tbl.replace t.hits k n;
-          Ok ()
-        | _ -> Error "coverage: hit entry needs n >= 1")
-      (Ok ()) hits
-  in
-  let* () =
-    List.fold_left
-      (fun acc entry ->
-        let* () = acc in
-        let* k = key_of entry in
-        match Option.bind (J.member "d" entry) J.to_float with
-        | Some d ->
-          if Tbl.mem t.hits k then
-            Error "coverage: dist entry for a covered side"
-          else begin
-            Tbl.replace t.dists k d;
-            Ok ()
-          end
-        | None -> Error "coverage: dist entry needs d")
-      (Ok ()) dists
-  in
-  Ok t
+  List.iter (fun (k, n) -> Tbl.replace t.hits k n) hits;
+  if List.exists (fun (k, _) -> Tbl.mem t.hits k) dists then
+    Error "dists: entry for a covered side"
+  else begin
+    List.iter (fun (k, d) -> Tbl.replace t.dists k d) dists;
+    Ok t
+  end

@@ -34,24 +34,16 @@ let weights_to_json tbl =
   |> fun l -> J.List l
 
 let weights_of_json j =
-  let ( let* ) = Result.bind in
-  match J.to_list j with
-  | None -> Error "energy: expected a list of branch weights"
-  | Some entries ->
-    let tbl = Hashtbl.create 64 in
-    let* () =
-      List.fold_left
-        (fun acc entry ->
-          let* () = acc in
-          match
-            ( Option.bind (J.member "pc" entry) J.to_int,
-              Option.bind (J.member "taken" entry) J.to_bool,
-              Option.bind (J.member "w" entry) J.to_float )
-          with
-          | Some pc, Some taken, Some w ->
-            Hashtbl.replace tbl (pc, taken) w;
-            Ok ()
-          | _ -> Error "energy: weight entry needs pc/taken/w")
-        (Ok ()) entries
-    in
-    Ok tbl
+  let open J.Decode in
+  let* entries =
+    list
+      (fun e ->
+        let* pc = field "pc" int e in
+        let* taken = field "taken" bool e in
+        let* w = field "w" float e in
+        Ok ((pc, taken), w))
+      j
+  in
+  let tbl = Hashtbl.create 64 in
+  List.iter (fun (br, w) -> Hashtbl.replace tbl br w) entries;
+  Ok tbl

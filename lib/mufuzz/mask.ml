@@ -90,28 +90,22 @@ let to_json t =
   J.Obj [ ("stride", J.Int t.stride); ("bits", J.String (Buffer.contents buf)) ]
 
 let of_json j =
-  match
-    ( Option.bind (J.member "stride" j) J.to_int,
-      Option.bind (J.member "bits" j) J.string_value )
-  with
-  | Some stride, Some s when stride >= 1 && String.length s >= 1 -> begin
+  let open J.Decode in
+  let* stride = field "stride" int j in
+  let* s = field "bits" string j in
+  if stride < 1 || String.length s < 1 then
+    Error "mask needs stride >= 1 and a non-empty bits string"
+  else
     let digit c =
       match c with
       | '0' .. '9' -> Char.code c - Char.code '0'
       | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
       | _ -> -1
     in
-    let bits = Array.make (String.length s) 0 in
-    let ok = ref true in
-    String.iteri
-      (fun i c ->
-        let d = digit c in
-        if d < 0 then ok := false else bits.(i) <- d)
-      s;
-    if !ok then Ok { bits; stride }
-    else Error "mask: bits must be lowercase hex digits"
-  end
-  | _ -> Error "mask: needs stride >= 1 and a non-empty bits string"
+    let bits = Array.init (String.length s) (fun i -> digit s.[i]) in
+    if Array.exists (fun d -> d < 0) bits then
+      Error "mask bits must be lowercase hex digits"
+    else Ok { bits; stride }
 
 let admitted_fraction t =
   let total = 4 * Array.length t.bits in

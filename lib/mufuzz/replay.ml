@@ -6,18 +6,6 @@ let tx_to_line (tx : Seed.tx) =
 let seed_to_string (seed : Seed.t) =
   String.concat "\n" (List.map tx_to_line seed.txs) ^ "\n"
 
-(* Shared by the line format here and the triage artifact codec: resolve
-   a (function name, sender, hex stream) triple against an ABI. *)
-let tx_of_parts ~abi ~name ~sender ~hex =
-  match List.find_opt (fun (f : Abi.func) -> f.Abi.name = name) abi with
-  | None -> raise (Corrupt (Printf.sprintf "unknown function %s" name))
-  | Some fn ->
-    if sender < 0 then raise (Corrupt (Printf.sprintf "bad sender %d" sender));
-    let stream =
-      try Util.Hex.decode hex with Invalid_argument m -> raise (Corrupt m)
-    in
-    { Seed.fn; sender; stream }
-
 let rec tx_of_line ~abi line =
   match String.split_on_char ' ' (String.trim line) with
   | [ name; sender; hex ] -> begin
@@ -26,8 +14,9 @@ let rec tx_of_line ~abi line =
       | Some s when s >= 0 -> s
       | _ -> raise (Corrupt ("bad sender in: " ^ line))
     in
-    try tx_of_parts ~abi ~name ~sender ~hex
-    with Corrupt m -> raise (Corrupt (m ^ " in: " ^ line))
+    match Seed.resolve_tx ~abi ~name ~sender ~hex with
+    | Ok tx -> tx
+    | Error m -> raise (Corrupt (m ^ " in: " ^ line))
   end
   | [ name; sender ] -> tx_of_line ~abi (name ^ " " ^ sender ^ " ")
   | _ -> raise (Corrupt ("malformed line: " ^ line))

@@ -15,12 +15,6 @@ val seed_of_string : abi:Abi.func list -> string -> Seed.t
 (** @raise Corrupt when a line is malformed or names an unknown
     function. *)
 
-val tx_of_parts :
-  abi:Abi.func list -> name:string -> sender:int -> hex:string -> Seed.tx
-(** Resolve one transaction from its serialised parts — the shared
-    decoder behind {!seed_of_string} and the triage artifact format.
-    @raise Corrupt on an unknown function, negative sender or bad hex. *)
-
 val save_corpus : string -> Seed.t list -> unit
 
 val load_corpus :

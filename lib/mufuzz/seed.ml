@@ -136,37 +136,25 @@ let to_json t =
            ])
        t.txs)
 
+(* The one transaction resolver: the JSON codec below and the corpus
+   line format ([Replay]) both decode a (function name, sender, hex
+   stream) triple through it. *)
+let resolve_tx ~abi ~name ~sender ~hex =
+  match List.find_opt (fun (f : Abi.func) -> f.Abi.name = name) abi with
+  | None -> Error (Printf.sprintf "unknown function %s" name)
+  | Some _ when sender < 0 -> Error (Printf.sprintf "bad sender %d" sender)
+  | Some fn -> (
+    match Util.Hex.decode hex with
+    | stream -> Ok { fn; sender; stream }
+    | exception Invalid_argument m -> Error m)
+
 let of_json ~abi j =
-  let ( let* ) = Result.bind in
-  let tx_of_json j =
-    match
-      ( Option.bind (J.member "fn" j) J.string_value,
-        Option.bind (J.member "sender" j) J.to_int,
-        Option.bind (J.member "stream" j) J.string_value )
-    with
-    | Some name, Some sender, Some hex ->
-      let* fn =
-        match List.find_opt (fun (f : Abi.func) -> f.Abi.name = name) abi with
-        | Some fn -> Ok fn
-        | None -> Error (Printf.sprintf "seed: unknown function %s" name)
-      in
-      if sender < 0 then Error (Printf.sprintf "seed: bad sender %d" sender)
-      else begin
-        match Util.Hex.decode hex with
-        | stream -> Ok { fn; sender; stream }
-        | exception Invalid_argument m -> Error ("seed: " ^ m)
-      end
-    | _ -> Error "seed: tx needs fn/sender/stream fields"
+  let open J.Decode in
+  let tx j =
+    let* name = field "fn" string j in
+    let* sender = field "sender" int j in
+    let* hex = field "stream" string j in
+    resolve_tx ~abi ~name ~sender ~hex
   in
-  match J.to_list j with
-  | None -> Error "seed: expected a list of transactions"
-  | Some txs ->
-    let* txs =
-      List.fold_left
-        (fun acc tx ->
-          let* acc = acc in
-          let* tx = tx_of_json tx in
-          Ok (tx :: acc))
-        (Ok []) txs
-    in
-    Ok { txs = List.rev txs }
+  let* txs = list tx j in
+  Ok { txs }

@@ -57,6 +57,13 @@ val to_json : t -> Telemetry.Json.t
     byte stream hex-encoded. Functions serialise by name and resolve
     against the contract ABI on load. *)
 
+val resolve_tx :
+  abi:Abi.func list -> name:string -> sender:int -> hex:string ->
+  (tx, string) result
+(** Resolve one transaction from its serialised parts: the function by
+    name in [abi], a non-negative sender, the hex-decoded stream. The
+    shared decoder behind {!of_json} and the corpus line format. *)
+
 val of_json : abi:Abi.func list -> Telemetry.Json.t -> (t, string) result
 (** Inverse of {!to_json}. [of_json ~abi (to_json t) = Ok t] whenever
     every transaction's function is present in [abi]. *)

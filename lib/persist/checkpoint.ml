@@ -139,150 +139,99 @@ let to_string t = J.to_string (to_json t)
 
 (* ---------------- decoding ---------------- *)
 
-let ( let* ) = Result.bind
+open J.Decode
 
-let field name conv json =
-  match Option.bind (J.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
-
-let map_result f l =
-  List.fold_left
-    (fun acc x ->
-      let* acc = acc in
-      let* y = f x in
-      Ok (y :: acc))
-    (Ok []) l
-  |> Result.map List.rev
-
-let branch_of_json j =
-  let* pc = field "pc" J.to_int j in
-  let* taken = field "taken" J.to_bool j in
+let branch j =
+  let* pc = field "pc" int j in
+  let* taken = field "taken" bool j in
   Ok (pc, taken)
 
-let dist_of_json j =
-  let* br = branch_of_json j in
-  let* d = field "d" J.to_float j in
+let dist j =
+  let* br = branch j in
+  let* d = field "d" float j in
   Ok (br, d)
 
-let entry_of_json ~abi j : (Mufuzz.Campaign.snapshot_entry, string) result =
-  let* seed = Result.bind (field "seed" Option.some j) (Mufuzz.Seed.of_json ~abi) in
-  let* path = Result.bind (field "path" J.to_list j) (map_result branch_of_json) in
-  let* nested =
-    Result.bind (field "nested" J.to_list j) (map_result branch_of_json)
-  in
-  let* fdists =
-    Result.bind (field "fdists" J.to_list j) (map_result dist_of_json)
-  in
-  let* masks =
-    Result.bind
-      (field "masks" J.to_list j)
-      (map_result (fun mj ->
-           let* tx = field "tx" J.to_int mj in
-           let* m =
-             Result.bind (field "mask" Option.some mj) Mufuzz.Mask.of_json
-           in
+let entry ~abi j : (Mufuzz.Campaign.snapshot_entry, string) result =
+  let* sn_seed = field "seed" (Mufuzz.Seed.of_json ~abi) j in
+  let* sn_path = field "path" (list branch) j in
+  let* sn_nested = field "nested" (list branch) j in
+  let* sn_fdists = field "fdists" (list dist) j in
+  let* sn_masks =
+    field "masks"
+      (list (fun mj ->
+           let* tx = field "tx" int mj in
+           let* m = field "mask" Mufuzz.Mask.of_json mj in
            Ok (tx, m)))
+      j
   in
-  Ok
-    {
-      Mufuzz.Campaign.sn_seed = seed;
-      sn_path = path;
-      sn_nested = nested;
-      sn_fdists = fdists;
-      sn_masks = masks;
-    }
+  Ok { Mufuzz.Campaign.sn_seed; sn_path; sn_nested; sn_fdists; sn_masks }
 
-let class_of_json j =
-  let* s = field "class" J.string_value j in
-  match Oracles.Oracle.class_of_string s with
-  | Some c -> Ok c
-  | None -> Error (Printf.sprintf "unknown oracle class %S" s)
+let oracle_class j =
+  let* s = string j in
+  Option.to_result ~none:(Printf.sprintf "unknown oracle class %S" s)
+    (Oracles.Oracle.class_of_string s)
 
-let finding_of_json ~abi j =
-  let* cls = class_of_json j in
-  let* pc = field "pc" J.to_int j in
-  let* tx_index = field "tx_index" J.to_int j in
-  let* detail = field "detail" J.string_value j in
-  let* seed = Result.bind (field "seed" Option.some j) (Mufuzz.Seed.of_json ~abi) in
+let finding ~abi j =
+  let* cls = field "class" oracle_class j in
+  let* pc = field "pc" int j in
+  let* tx_index = field "tx_index" int j in
+  let* detail = field "detail" string j in
+  let* seed = field "seed" (Mufuzz.Seed.of_json ~abi) j in
   Ok ({ Oracles.Oracle.cls; pc; tx_index; detail }, seed)
 
-let occ_of_json j =
-  let* k_cls = class_of_json j in
-  let* k_pc = field "pc" J.to_int j in
-  let* k_path = field "path_hash" J.string_value j in
-  let* count = field "count" J.to_int j in
+let occ j =
+  let* k_cls = field "class" oracle_class j in
+  let* k_pc = field "pc" int j in
+  let* k_path = field "path_hash" string j in
+  let* count = field "count" int j in
   Ok ({ Oracles.Oracle.k_cls; k_pc; k_path }, count)
 
-let snapshot_of_json ~abi j : (Mufuzz.Campaign.snapshot, string) result =
-  let* sn_execs = field "execs" J.to_int j in
-  let* sn_steps = field "steps" J.to_int j in
-  let* sn_mask_probes = field "mask_probes" J.to_int j in
-  let* sn_cursor = field "cursor" J.to_int j in
-  let* sn_rng =
-    let* s = field "rng" J.string_value j in
-    match Int64.of_string_opt s with
-    | Some v -> Ok v
-    | None -> Error "rng state is not a 64-bit decimal"
-  in
-  let* sn_rng_counter = field "rng_counter" J.to_int j in
-  let* sn_elapsed = field "elapsed" J.to_float j in
-  let* entries =
-    Result.bind (field "entries" J.to_list j) (map_result (entry_of_json ~abi))
-  in
+let snapshot ~abi j : (Mufuzz.Campaign.snapshot, string) result =
+  let* sn_execs = field "execs" int j in
+  let* sn_steps = field "steps" int j in
+  let* sn_mask_probes = field "mask_probes" int j in
+  let* sn_cursor = field "cursor" int j in
+  let* sn_rng = field "rng" int64_decimal j in
+  let* sn_rng_counter = field "rng_counter" int j in
+  let* sn_elapsed = field "elapsed" float j in
+  let* entries = field "entries" (list (entry ~abi)) j in
   let sn_entries = Array.of_list entries in
-  let n = Array.length sn_entries in
-  let valid_id i = i >= 0 && i < n in
-  let* sn_queue =
-    Result.bind
-      (field "queue" J.to_list j)
-      (map_result (fun ij ->
-           match J.to_int ij with
-           | Some i when valid_id i -> Ok i
-           | Some i -> Error (Printf.sprintf "queue entry index %d out of range" i)
-           | None -> Error "ill-typed queue entry"))
+  let entry_index what j =
+    let* i = int j in
+    if i >= 0 && i < Array.length sn_entries then Ok i
+    else Error (Printf.sprintf "%s entry index %d out of range" what i)
   in
+  let* sn_queue = field "queue" (list (entry_index "queue")) j in
   let* sn_best =
-    Result.bind
-      (field "best" J.to_list j)
-      (map_result (fun bj ->
-           let* br = branch_of_json bj in
-           let* d = field "d" J.to_float bj in
-           let* i = field "entry" J.to_int bj in
-           if valid_id i then Ok (br, d, i)
-           else Error (Printf.sprintf "best entry index %d out of range" i)))
+    field "best"
+      (list (fun bj ->
+           let* br = branch bj in
+           let* d = field "d" float bj in
+           let* i = field "entry" (entry_index "best") bj in
+           Ok (br, d, i)))
+      j
   in
-  let* sn_coverage =
-    Result.bind (field "coverage" Option.some j) Mufuzz.Coverage.of_json
-  in
-  let* sn_weights =
-    match J.member "weights" j with
-    | Some J.Null -> Ok None
-    | Some (J.List ws) -> Result.map Option.some (map_result dist_of_json ws)
-    | Some _ -> Error "ill-typed field \"weights\""
-    | None -> Error "missing field \"weights\""
-  in
-  let* sn_findings =
-    Result.bind (field "findings" J.to_list j) (map_result (finding_of_json ~abi))
-  in
-  let* sn_occ = Result.bind (field "occ" J.to_list j) (map_result occ_of_json) in
+  let* sn_coverage = field "coverage" Mufuzz.Coverage.of_json j in
+  let* sn_weights = field "weights" (nullable (list dist)) j in
+  let* sn_findings = field "findings" (list (finding ~abi)) j in
+  let* sn_occ = field "occ" (list occ) j in
   let* sn_over_time =
-    Result.bind
-      (field "over_time" J.to_list j)
-      (map_result (fun cj ->
-           let* execs = field "execs" J.to_int cj in
-           let* covered = field "covered" J.to_int cj in
+    field "over_time"
+      (list (fun cj ->
+           let* execs = field "execs" int cj in
+           let* covered = field "covered" int cj in
            Ok { Mufuzz.Report.execs; covered }))
+      j
   in
   let* sn_attempts =
-    Result.bind
-      (field "attempts" J.to_list j)
-      (map_result (fun aj ->
-           let* br = branch_of_json aj in
-           let* n = field "n" J.to_int aj in
+    field "attempts"
+      (list (fun aj ->
+           let* br = branch aj in
+           let* n = field "n" int aj in
            Ok (br, n)))
+      j
   in
-  let* sn_predict_proposals = field "predict_proposals" J.to_int j in
+  let* sn_predict_proposals = field "predict_proposals" int j in
   Ok
     {
       Mufuzz.Campaign.sn_execs;
@@ -305,63 +254,20 @@ let snapshot_of_json ~abi j : (Mufuzz.Campaign.snapshot, string) result =
     }
 
 let of_json json =
-  let* fmt = field "format" J.string_value json in
-  let* () =
-    if fmt = format_tag then Ok ()
-    else Error (Printf.sprintf "not a %s document (format=%S)" format_tag fmt)
-  in
-  let* version = field "version" J.to_int json in
-  let* () =
-    if version = current_version then Ok ()
-    else
-      Error
-        (Printf.sprintf "checkpoint version %d not supported (only %d)" version
-           current_version)
-  in
-  let* tool = field "tool" J.string_value json in
-  let* name = field "contract" J.string_value json in
-  let* src_hash = field "source_hash" J.string_value json in
-  let* source = field "source" J.string_value json in
-  let* () =
-    let actual = Crypto.Keccak.hash_hex source in
-    if actual = src_hash then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "embedded source hash mismatch: recorded %s, actual %s (source \
-            edited after the checkpoint was written?)"
-           src_hash actual)
-  in
-  let* contract =
-    match Minisol.Contract.compile source with
-    | c -> Ok c
-    | exception _ -> Error "embedded source does not compile"
-  in
-  let* () =
-    if contract.name = name then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "contract name mismatch: checkpoint says %S, source declares %S"
-           name contract.name)
-  in
-  let* config =
-    Result.bind (field "config" Option.some json)
-      (Mufuzz.Config.of_json ~abi:contract.abi)
-  in
-  let* snapshot =
-    Result.bind (field "snapshot" Option.some json)
-      (snapshot_of_json ~abi:contract.abi)
-  in
+  let* () = header ~format:format_tag ~version:current_version json in
+  let* tool = field "tool" string json in
+  let* name = field "contract" string json in
+  let* source_hash = field "source_hash" string json in
+  let* source = field "source" string json in
+  let* contract = Minisol.Contract.of_embedded ~name ~source_hash ~source in
+  let* config = field "config" (Mufuzz.Config.of_json ~abi:contract.abi) json in
+  let* snapshot = field "snapshot" (snapshot ~abi:contract.abi) json in
   Ok { tool; config; contract; snapshot }
 
 let of_string s =
-  let* json =
-    match J.of_string s with
-    | Ok j -> Ok j
-    | Error e -> Error (Printf.sprintf "corrupt checkpoint: %s" e)
-  in
-  of_json json
+  Result.bind
+    (Result.map_error (( ^ ) "corrupt checkpoint: ") (J.of_string s))
+    of_json
 
 let save path t = Util.Fileio.write_atomic path (to_string t ^ "\n")
 

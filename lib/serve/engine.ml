@@ -231,9 +231,13 @@ let fresh_id t =
 
 (* ---------------- restart scan ---------------- *)
 
-let meta_int name j = Option.bind (J.member name j) J.to_int
+module D = J.Decode
 
-let meta_str name j = Option.bind (J.member name j) J.string_value
+(* meta.json is advisory: an absent or ill-typed field takes its
+   default. *)
+let meta_opt meta name d = Option.join (Result.to_option (D.field_opt name d meta))
+
+let meta_or meta name d ~default = Option.value (meta_opt meta name d) ~default
 
 let restore_campaign t id =
   let dir = Filename.concat t.state_dir id in
@@ -241,18 +245,15 @@ let restore_campaign t id =
   if not (Sys.file_exists meta_file) then ()
   else
     match J.of_string (Util.Fileio.read_file meta_file) with
-    | Error e -> Log.warn (fun m -> m "%s: unreadable meta.json: %s" id e)
+    | Error e | (exception Sys_error e) ->
+      Log.warn (fun m -> m "%s: unreadable meta.json: %s" id e)
     | Ok meta -> (
-      let status = Option.value (meta_str "status" meta) ~default:"queued" in
-      let priority = Option.value (meta_int "priority" meta) ~default:0 in
-      let budget = Option.value (meta_int "budget" meta) ~default:5000 in
-      let seed =
-        Option.value
-          (Option.bind (meta_str "seed" meta) Int64.of_string_opt)
-          ~default:42L
-      in
-      let jobs = Option.value (meta_int "jobs" meta) ~default:1 in
-      let tool = Option.value (meta_str "tool" meta) ~default:"MuFuzz" in
+      let status = meta_or meta "status" D.string ~default:"queued" in
+      let priority = meta_or meta "priority" D.int ~default:0 in
+      let budget = meta_or meta "budget" D.int ~default:5000 in
+      let seed = meta_or meta "seed" D.int64_decimal ~default:42L in
+      let jobs = meta_or meta "jobs" D.int ~default:1 in
+      let tool = meta_or meta "tool" D.string ~default:"MuFuzz" in
       match Baselines.Fuzzers.find tool with
       | None -> Log.warn (fun m -> m "%s: unknown tool %S in meta.json" id tool)
       | Some profile -> (
@@ -266,7 +267,7 @@ let restore_campaign t id =
             c.phase <- Running;
             c.resume <- Some (path, ckpt.snapshot);
             c.execs <- ckpt.snapshot.Mufuzz.Campaign.sn_execs;
-            c.slices <- Stdlib.max 1 (Option.value (meta_int "slices" meta) ~default:1);
+            c.slices <- Stdlib.max 1 (meta_or meta "slices" D.int ~default:1);
             Some c
           | Error e ->
             Log.warn (fun m -> m "%s: checkpoint unreadable: %s" id e);
@@ -300,17 +301,16 @@ let restore_campaign t id =
             c.phase <-
               (match st with
               | "completed" -> Completed
-              | "failed" ->
-                Failed (Option.value (meta_str "error" meta) ~default:"unknown")
+              | "failed" -> Failed (meta_or meta "error" D.string ~default:"unknown")
               | _ -> Cancelled);
-            c.execs <- Option.value (meta_int "execs" meta) ~default:0;
-            c.covered <- Option.value (meta_int "covered" meta) ~default:0;
-            c.total_sides <- Option.value (meta_int "total_sides" meta) ~default:0;
-            c.findings <- Option.value (meta_int "findings" meta) ~default:0;
-            c.slices <- Option.value (meta_int "slices" meta) ~default:0;
-            c.artifact_count <-
-              Option.value (meta_int "artifact_count" meta) ~default:0;
-            c.stop_reason <- meta_str "stop_reason" meta)
+            let count name = meta_or meta name D.int ~default:0 in
+            c.execs <- count "execs";
+            c.covered <- count "covered";
+            c.total_sides <- count "total_sides";
+            c.findings <- count "findings";
+            c.slices <- count "slices";
+            c.artifact_count <- count "artifact_count";
+            c.stop_reason <- meta_opt meta "stop_reason" D.string)
         | other -> Log.warn (fun m -> m "%s: unknown status %S" id other)))
 
 let scan t =

@@ -48,47 +48,15 @@ type request =
 
 (* ---------------- request parsing ---------------- *)
 
-let field name j = J.member name j
-
-let opt_int name j =
-  match field name j with
-  | None | Some J.Null -> Ok None
-  | Some v -> (
-    match J.to_int v with
-    | Some n -> Ok (Some n)
-    | None -> Error (Printf.sprintf "field %S must be an integer" name))
-
-let opt_string name j =
-  match field name j with
-  | None | Some J.Null -> Ok None
-  | Some v -> (
-    match J.string_value v with
-    | Some s -> Ok (Some s)
-    | None -> Error (Printf.sprintf "field %S must be a string" name))
+open J.Decode
 
 (* RNG seeds are int64; accept a JSON integer or a decimal string
    (JSON numbers lose precision past 2^53 in sloppy clients). *)
-let opt_seed name j =
-  match field name j with
-  | None | Some J.Null -> Ok None
-  | Some (J.Int n) -> Ok (Some (Int64.of_int n))
-  | Some (J.String s) -> (
-    match Int64.of_string_opt s with
-    | Some n -> Ok (Some n)
-    | None -> Error (Printf.sprintf "field %S is not a decimal int64" name))
-  | Some _ -> Error (Printf.sprintf "field %S must be an integer or string" name)
-
-let req_id j =
-  match opt_string "id" j with
-  | Ok (Some id) -> Ok id
-  | Ok None -> Error "missing field \"id\""
-  | Error e -> Error e
-
-let ( let* ) r f = Result.bind r f
+let seed = function J.Int n -> Ok (Int64.of_int n) | j -> int64_decimal j
 
 let parse_submit j =
-  let* source = opt_string "source" j in
-  let* file = opt_string "file" j in
+  let* source = field_opt "source" string j in
+  let* file = field_opt "file" string j in
   let* sub_source =
     match (source, file) with
     | Some s, None -> Ok (`Inline s)
@@ -96,11 +64,11 @@ let parse_submit j =
     | Some _, Some _ -> Error "give either \"source\" or \"file\", not both"
     | None, None -> Error "submit needs a \"source\" or \"file\" field"
   in
-  let* sub_budget = opt_int "budget" j in
-  let* sub_seed = opt_seed "seed" j in
-  let* sub_tool = opt_string "tool" j in
-  let* sub_jobs = opt_int "jobs" j in
-  let* priority = opt_int "priority" j in
+  let* sub_budget = field_opt "budget" int j in
+  let* sub_seed = field_opt "seed" seed j in
+  let* sub_tool = field_opt "tool" string j in
+  let* sub_jobs = field_opt "jobs" int j in
+  let* priority = field_opt "priority" int j in
   Ok
     (Submit
        {
@@ -113,38 +81,26 @@ let parse_submit j =
        })
 
 let parse_request line =
+  let bad r = Result.map_error (fun e -> (Bad_request, e)) r in
   match J.of_string line with
   | Error e -> Error (Bad_request, Printf.sprintf "not a JSON object: %s" e)
   | Ok j -> (
-    match field "op" j with
-    | None -> Error (Bad_request, "missing field \"op\"")
-    | Some op -> (
-      match J.string_value op with
-      | None -> Error (Bad_request, "field \"op\" must be a string")
-      | Some op ->
-        let with_id k =
-          match req_id j with
-          | Ok id -> Ok (k id)
-          | Error e -> Error (Bad_request, e)
-        in
-        (match op with
-        | "hello" -> (
-          match opt_int "protocol" j with
-          | Ok v -> Ok (Hello v)
-          | Error e -> Error (Bad_request, e))
-        | "submit" -> (
-          match parse_submit j with
-          | Ok r -> Ok r
-          | Error e -> Error (Bad_request, e))
-        | "status" -> with_id (fun id -> Status id)
-        | "report" -> with_id (fun id -> Report id)
-        | "cancel" -> with_id (fun id -> Cancel id)
-        | "artifacts" -> with_id (fun id -> Artifacts id)
-        | "list" -> Ok List_campaigns
-        | "metrics" -> Ok Metrics
-        | "ping" -> Ok Ping
-        | "shutdown" -> Ok Shutdown
-        | op -> Error (Unknown_op, Printf.sprintf "unknown op %S" op))))
+    match field "op" string j with
+    | Error e -> Error (Bad_request, e)
+    | Ok op -> (
+      let with_id k = bad (Result.map k (field "id" string j)) in
+      match op with
+      | "hello" -> bad (Result.map (fun v -> Hello v) (field_opt "protocol" int j))
+      | "submit" -> bad (parse_submit j)
+      | "status" -> with_id (fun id -> Status id)
+      | "report" -> with_id (fun id -> Report id)
+      | "cancel" -> with_id (fun id -> Cancel id)
+      | "artifacts" -> with_id (fun id -> Artifacts id)
+      | "list" -> Ok List_campaigns
+      | "metrics" -> Ok Metrics
+      | "ping" -> Ok Ping
+      | "shutdown" -> Ok Shutdown
+      | op -> Error (Unknown_op, Printf.sprintf "unknown op %S" op)))
 
 (* ---------------- response rendering ---------------- *)
 

@@ -11,20 +11,18 @@ let create sinks =
 
 let enabled t = Array.length t.sinks > 0
 
+(* [Mutex.protect] releases the lock when a sink raises: the exception
+   reaches the emitting caller, and other domains can still emit. *)
 let emit t ev =
-  if Array.length t.sinks > 0 then begin
-    Mutex.lock t.mutex;
-    if not t.finalized then
-      Array.iter (fun (s : Sink.t) -> s.on_event ev) t.sinks;
-    Mutex.unlock t.mutex
-  end
+  if Array.length t.sinks > 0 then
+    Mutex.protect t.mutex (fun () ->
+        if not t.finalized then
+          Array.iter (fun (s : Sink.t) -> s.on_event ev) t.sinks)
 
 let finalize t =
-  if Array.length t.sinks > 0 then begin
-    Mutex.lock t.mutex;
-    if not t.finalized then begin
-      t.finalized <- true;
-      Array.iter (fun (s : Sink.t) -> s.on_finalize ()) t.sinks
-    end;
-    Mutex.unlock t.mutex
-  end
+  if Array.length t.sinks > 0 then
+    Mutex.protect t.mutex (fun () ->
+        if not t.finalized then begin
+          t.finalized <- true;
+          Array.iter (fun (s : Sink.t) -> s.on_finalize ()) t.sinks
+        end)

@@ -26,6 +26,8 @@ val enabled : t -> bool
     whose payload is costly to construct. *)
 
 val emit : t -> Event.t -> unit
+(** An exception raised by a sink propagates to the caller; the bus
+    lock is released first, so later emits (from any domain) proceed. *)
 
 val finalize : t -> unit
 (** Run every sink's [on_finalize] once (idempotent; later {!emit}s

@@ -60,18 +60,10 @@ let to_json ev =
     Json.Obj [ tag; ("shard", Int shard); ("worker", Int worker) ]
 
 let of_json json =
-  let field name conv =
-    match Json.member name json with
-    | None -> Error (Printf.sprintf "missing field %S" name)
-    | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "ill-typed field %S" name))
-  in
-  let ( let* ) = Result.bind in
-  let int name = field name Json.to_int in
-  let bool name = field name Json.to_bool in
-  let str name = field name Json.string_value in
+  let open Json.Decode in
+  let int name = field name int json in
+  let bool name = field name bool json in
+  let str name = field name string json in
   let* tag = str "event" in
   match tag with
   | "exec-completed" ->

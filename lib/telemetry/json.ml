@@ -264,9 +264,16 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
+(* [int_of_float] is unspecified outside the [int] range (1e20 gives 0),
+   and an integer literal too large for [int] parses as exactly such a
+   float: only in-range integral floats are ints. *)
 let to_int = function
   | Int n -> Some n
-  | Float f when Float.is_integer f -> Some (int_of_float f)
+  | Float f
+    when Float.is_integer f
+         && f >= Float.of_int min_int
+         && f < -.Float.of_int min_int ->
+    Some (int_of_float f)
   | _ -> None
 
 let to_float = function
@@ -277,3 +284,97 @@ let to_float = function
 let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List l -> Some l | _ -> None
 let string_value = function String s -> Some s | _ -> None
+
+(* ---------------- decoders ---------------- *)
+
+module Decode = struct
+  type json = t
+
+  type 'a t = json -> ('a, string) result
+
+  let ( let* ) = Result.bind
+
+  (* An error is "<path>: <message>" once a [field] or [list] has
+     wrapped it. Paths are built from lowercase field names and [i]
+     indices, so a head of only those characters before the first ": "
+     is a path; anything else is a bare message. Only the [Error] branch
+     ever looks at this. *)
+  let has_path e =
+    let is_path_char = function
+      | 'a' .. 'z' | '0' .. '9' | '_' | '.' | '[' | ']' -> true
+      | _ -> false
+    in
+    match String.index_opt e ':' with
+    | Some i when i > 0 && i + 1 < String.length e && e.[i + 1] = ' ' ->
+      let rec all k = k >= i || (is_path_char e.[k] && all (k + 1)) in
+      all 0
+    | _ -> false
+
+  let under segment e =
+    if not (has_path e) then segment ^ ": " ^ e
+    else if e.[0] = '[' then segment ^ e
+    else segment ^ "." ^ e
+
+  let expected what = Error ("expected " ^ what)
+
+  let int j = match to_int j with Some n -> Ok n | None -> expected "int"
+  (* an overflowing literal parses to infinity, which the printer
+     cannot render back (it writes [null]) *)
+  let float j =
+    match to_float j with
+    | Some f when Float.is_finite f -> Ok f
+    | _ -> expected "a finite number"
+  let bool = function Bool b -> Ok b | _ -> expected "bool"
+  let string = function String s -> Ok s | _ -> expected "string"
+
+  let int64_decimal = function
+    | String s -> (
+      match Int64.of_string_opt s with
+      | Some v -> Ok v
+      | None -> expected "a 64-bit decimal string")
+    | _ -> expected "a 64-bit decimal string"
+
+  let list d = function
+    | List l ->
+      let rec go i acc = function
+        | [] -> Ok (List.rev acc)
+        | x :: rest -> (
+          match d x with
+          | Ok v -> go (i + 1) (v :: acc) rest
+          | Error e -> Error (under (Printf.sprintf "[%d]" i) e))
+      in
+      go 0 [] l
+    | _ -> expected "list"
+
+  let nullable d = function Null -> Ok None | j -> Result.map Option.some (d j)
+
+  let field_value name = function
+    | Obj fields -> Ok (List.assoc_opt name fields)
+    | _ -> expected "object"
+
+  let field name d j =
+    let* v = field_value name j in
+    match v with
+    | None -> Error (name ^ ": missing field")
+    | Some v -> (
+      match d v with Ok _ as ok -> ok | Error e -> Error (under name e))
+
+  let field_opt name d j =
+    let* v = field_value name j in
+    match v with
+    | None | Some Null -> Ok None
+    | Some v -> (
+      match d v with Ok x -> Ok (Some x) | Error e -> Error (under name e))
+
+  let header ~format ~version j =
+    let* f = field "format" string j in
+    if f <> format then
+      Error (Printf.sprintf "format: expected %S, got %S" format f)
+    else
+      let* v = field "version" int j in
+      if v <> version then
+        Error
+          (Printf.sprintf "version: %d not supported (this build reads %d)" v
+             version)
+      else Ok ()
+end

@@ -67,97 +67,35 @@ let to_json t =
       ("gas_per_tx", J.Int t.gas_per_tx);
       ("n_senders", J.Int t.n_senders);
       ("attacker", J.Bool t.attacker);
-      ( "txs",
-        J.List
-          (List.map
-             (fun (tx : Mufuzz.Seed.tx) ->
-               J.Obj
-                 [
-                   ("fn", J.String tx.fn.Abi.name);
-                   ("sender", J.Int tx.sender);
-                   ("stream", J.String (Util.Hex.encode tx.stream));
-                 ])
-             t.seed.txs) );
+      ("txs", Mufuzz.Seed.to_json t.seed);
       ("source", J.String t.contract.source);
     ]
 
 let to_string t = J.to_string (to_json t)
 
-let ( let* ) = Result.bind
-
-let field name conv json =
-  match Option.bind (J.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
-
 let of_json json =
-  let* fmt = field "format" J.string_value json in
-  let* () =
-    if fmt = format_tag then Ok ()
-    else Error (Printf.sprintf "not a %s document (format=%S)" format_tag fmt)
-  in
-  let* version = field "version" J.to_int json in
-  let* () =
-    if version >= 1 && version <= current_version then Ok ()
-    else
-      Error
-        (Printf.sprintf "artifact version %d not supported (max %d)" version
-           current_version)
-  in
-  let* name = field "contract" J.string_value json in
-  let* src_hash = field "source_hash" J.string_value json in
-  let* source = field "source" J.string_value json in
-  let* () =
-    let actual = Crypto.Keccak.hash_hex source in
-    if actual = src_hash then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "embedded source hash mismatch: recorded %s, actual %s (source \
-            edited without re-shrinking?)"
-           src_hash actual)
-  in
-  let* contract =
-    match Minisol.Contract.compile source with
-    | c -> Ok c
-    | exception _ -> Error "embedded source does not compile"
-  in
-  let* () =
-    if contract.name = name then Ok ()
-    else
-      Error
-        (Printf.sprintf "contract name mismatch: artifact says %S, source \
-                         declares %S" name contract.name)
-  in
-  let* cls_s = field "oracle" J.string_value json in
+  let open J.Decode in
+  let* () = header ~format:format_tag ~version:current_version json in
+  let* name = field "contract" string json in
+  let* source_hash = field "source_hash" string json in
+  let* source = field "source" string json in
+  let* contract = Minisol.Contract.of_embedded ~name ~source_hash ~source in
   let* cls =
-    match Oracles.Oracle.class_of_string cls_s with
-    | Some c -> Ok c
-    | None -> Error (Printf.sprintf "unknown oracle class %S" cls_s)
+    field "oracle"
+      (fun j ->
+        let* s = string j in
+        Option.to_result ~none:(Printf.sprintf "unknown oracle class %S" s)
+          (Oracles.Oracle.class_of_string s))
+      json
   in
-  let* pc = field "pc" J.to_int json in
-  let* tx_index = field "tx_index" J.to_int json in
-  let* detail = field "detail" J.string_value json in
-  let* path_hash = field "path_hash" J.string_value json in
-  let* gas_per_tx = field "gas_per_tx" J.to_int json in
-  let* n_senders = field "n_senders" J.to_int json in
-  let* attacker = field "attacker" J.to_bool json in
-  let* txs_json = field "txs" J.to_list json in
-  let* txs =
-    List.fold_left
-      (fun acc tx_json ->
-        let* acc = acc in
-        let* fn = field "fn" J.string_value tx_json in
-        let* sender = field "sender" J.to_int tx_json in
-        let* hex = field "stream" J.string_value tx_json in
-        match
-          Mufuzz.Replay.tx_of_parts ~abi:contract.abi ~name:fn ~sender ~hex
-        with
-        | tx -> Ok (tx :: acc)
-        | exception Mufuzz.Replay.Corrupt m -> Error ("bad tx: " ^ m))
-      (Ok []) txs_json
-  in
-  let seed = { Mufuzz.Seed.txs = List.rev txs } in
+  let* pc = field "pc" int json in
+  let* tx_index = field "tx_index" int json in
+  let* detail = field "detail" string json in
+  let* path_hash = field "path_hash" string json in
+  let* gas_per_tx = field "gas_per_tx" int json in
+  let* n_senders = field "n_senders" int json in
+  let* attacker = field "attacker" bool json in
+  let* seed = field "txs" (Mufuzz.Seed.of_json ~abi:contract.abi) json in
   Ok
     {
       contract;
@@ -169,17 +107,11 @@ let of_json json =
       seed;
     }
 
-let of_string s =
-  let* json = J.of_string s in
-  of_json json
+let of_string s = Result.bind (J.of_string s) of_json
 
 let save path t = Util.Fileio.write_atomic path (to_string t ^ "\n")
 
 let load path =
-  match open_in_bin path with
+  match Util.Fileio.read_file path with
   | exception Sys_error m -> Error m
-  | ic ->
-    let n = in_channel_length ic in
-    let content = really_input_string ic n in
-    close_in ic;
-    of_string (String.trim content)
+  | content -> of_string (String.trim content)

@@ -48,9 +48,9 @@ val to_json : t -> Telemetry.Json.t
 val to_string : t -> string
 
 val of_json : Telemetry.Json.t -> (t, string) result
-(** Validates the format tag, version window, source hash, contract
+(** Validates the format tag, the exact version, source hash, contract
     name, oracle class and every transaction (unknown function names
-    and bad hex are errors, as in {!Mufuzz.Replay}). *)
+    and bad hex are errors, as in {!Mufuzz.Seed.of_json}). *)
 
 val of_string : string -> (t, string) result
 

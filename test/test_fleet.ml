@@ -112,7 +112,11 @@ let shard_rejects_corruption () =
   check "manifest count lie" (fun dir ->
       corrupt_file
         (Filename.concat dir Fleet.Shard.manifest_file)
-        (replace_first ~pat:"\"total\":6" ~rep:"\"total\":7"))
+        (replace_first ~pat:"\"total\":6" ~rep:"\"total\":7"));
+  check "shard file is a directory" (fun dir ->
+      let path = Filename.concat dir (Fleet.Shard.shard_file 0) in
+      Sys.remove path;
+      Unix.mkdir path 0o755)
 
 let shard_balanced_bounds () =
   (* the contiguous split covers [0, total) exactly once *)
@@ -249,7 +253,15 @@ let config_roundtrip () =
      Fleet.Config.validate_tools { c with tools = [ "NoSuchFuzzer" ] }
    with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "unknown tool accepted")
+  | Ok () -> Alcotest.fail "unknown tool accepted");
+  (* an out-of-range integer must not decode as 0 *)
+  let text =
+    replace_first ~pat:{|"checkpoint_every":500|}
+      ~rep:{|"checkpoint_every":1e20|} (Fleet.Config.to_string c)
+  in
+  match Fleet.Config.of_string text with
+  | Error _ -> ()
+  | Ok c' -> Alcotest.failf "checkpoint_every 1e20 decoded as %d" c'.checkpoint_every
 
 (* ---------------- ledger ---------------- *)
 
@@ -279,7 +291,12 @@ let ledger_state_machine () =
           (Telemetry.Json.to_string (Fleet.Ledger.to_json l))
           (Telemetry.Json.to_string (Fleet.Ledger.to_json l'))
       | Ok None -> Alcotest.fail "ledger vanished"
-      | Error e -> Alcotest.fail e)
+      | Error e -> Alcotest.fail e);
+  Util.Fileio.with_temp_dir ~prefix:"fleet-ledger" (fun dir ->
+      Unix.mkdir (Filename.concat dir Fleet.Ledger.file) 0o755;
+      match Fleet.Ledger.load ~dir with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a directory was read as the ledger")
 
 (* ---------------- worker kill-and-resume determinism -------------- *)
 
@@ -380,6 +397,23 @@ let worker_records_failures () =
         Alcotest.(check string) "failure names the contract" "broken"
           (fst (List.hd s.Fleet.Summary.s_failed)))
 
+(* A progress file that cannot be read is a structured error, not an
+   escaping [Sys_error]. *)
+let worker_unreadable_progress () =
+  Util.Fileio.with_temp_dir ~prefix:"fleet-progress" (fun root ->
+      let corpus = Filename.concat root "corpus" in
+      tiny_corpus corpus;
+      let state = Filename.concat root "st" in
+      let shard_dir = Filename.concat state (Fleet.Worker.shard_dir_name 0) in
+      Unix.mkdir state 0o755;
+      Unix.mkdir shard_dir 0o755;
+      Unix.mkdir (Filename.concat shard_dir Fleet.Worker.progress_file) 0o755;
+      match
+        Fleet.Worker.run_shard ~state ~corpus ~shard:0 ~config:tiny_config ()
+      with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a directory was read as progress")
+
 (* ---------------- end-to-end: driver with in-process math --------- *)
 
 let driver_csvs () =
@@ -442,5 +476,7 @@ let suite =
           worker_resume_deterministic;
         Alcotest.test_case "failures recorded, shard survives" `Quick
           worker_records_failures;
+        Alcotest.test_case "unreadable progress is an error" `Quick
+          worker_unreadable_progress;
       ] );
   ]

@@ -102,6 +102,10 @@ let protocol_tests =
           (Protocol.parse_request {|{"op":"submit","source":"c","budget":"x"}|});
         expect_error Protocol.Unknown_op
           (Protocol.parse_request {|{"op":"frobnicate"}|}));
+    unit "parse: an out-of-range budget is a bad request, not 0" (fun () ->
+        expect_error Protocol.Bad_request
+          (Protocol.parse_request
+             {|{"op":"submit","source":"c","budget":99999999999999999999}|}));
     unit "responses: ok and error shapes" (fun () ->
         (match J.of_string (Protocol.ok [ ("x", J.Int 1) ]) with
         | Ok j ->
@@ -311,6 +315,14 @@ let equivalence_tests =
         Alcotest.(check string) "reports equal"
           (J.to_string (normalized (Mufuzz.Report.to_json uninterrupted)))
           (J.to_string (normalized sliced)));
+    unit "an unreadable meta.json is skipped on restart" (fun () ->
+        let dir = temp_dir () in
+        Unix.mkdir (Filename.concat dir "c0001") 0o755;
+        Unix.mkdir (Filename.concat (Filename.concat dir "c0001") "meta.json") 0o755;
+        let t =
+          Engine.create ~state_dir:dir ~metrics:(Telemetry.Metrics.create ()) ()
+        in
+        Alcotest.(check int) "nothing restored" 0 (List.length (Engine.list_campaigns t)));
     unit "a restarted engine resumes from the checkpoint" (fun () ->
         let budget = 2000 in
         let seed = 99L in

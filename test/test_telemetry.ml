@@ -91,6 +91,80 @@ let json_tests =
         Alcotest.(check (option bool)) "b" (Some true)
           (Option.bind (J.member "b" j) J.to_bool);
         Alcotest.(check bool) "missing" true (J.member "c" j = None));
+    unit "to_int rejects integers outside the int range" (fun () ->
+        Alcotest.(check (option int)) "1e20" None (J.to_int (J.Float 1e20));
+        Alcotest.(check (option int)) "2^62" None
+          (J.to_int (J.Float 4611686018427387904.));
+        Alcotest.(check (option int)) "-2^62" (Some min_int)
+          (J.to_int (J.Float (-4611686018427387904.)));
+        Alcotest.(check (option int)) "integral float" (Some 3)
+          (J.to_int (J.Float 3.0));
+        match J.of_string "99999999999999999999" with
+        | Ok j -> Alcotest.(check (option int)) "oversized literal" None (J.to_int j)
+        | Error e -> Alcotest.fail e);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Decoder toolkit                                                     *)
+
+module D = J.Decode
+
+let decode d s =
+  match J.of_string s with Ok j -> d j | Error e -> Alcotest.fail e
+
+let result_t = Alcotest.(result (list int) string)
+
+let decode_tests =
+  let open D in
+  let pair j =
+    let* tx = field "tx" int j in
+    let* n = field "n" int j in
+    Ok (tx + n)
+  in
+  let doc = field "snapshot" (field "entries" (list (field "masks" (list pair)))) in
+  [
+    unit "errors carry the JSON path" (fun () ->
+        Alcotest.check
+          Alcotest.(result (list (list int)) string)
+          "nested path"
+          (Error "snapshot.entries[1].masks[0].tx: expected int")
+          (decode doc
+             {|{"snapshot":{"entries":[{"masks":[]},{"masks":[{"tx":"x","n":1}]}]}}|});
+        Alcotest.check result_t "missing field"
+          (Error "[0].n: missing field")
+          (decode (list pair) {|[{"tx":1}]|});
+        Alcotest.check result_t "bare check message"
+          (Error "[1]: negative")
+          (decode
+             (list (fun j ->
+                  let* n = int j in
+                  if n < 0 then Error "negative" else Ok n))
+             "[1,-2]");
+        Alcotest.check result_t "ok" (Ok [ 3; 5 ])
+          (decode (list pair) {|[{"tx":1,"n":2},{"tx":2,"n":3}]|}));
+    unit "field_opt, nullable and int64_decimal" (fun () ->
+        let opt = Alcotest.(result (option int) string) in
+        Alcotest.check opt "absent" (Ok None) (decode (field_opt "a" int) "{}");
+        Alcotest.check opt "null" (Ok None) (decode (field_opt "a" int) {|{"a":null}|});
+        Alcotest.check opt "ill-typed" (Error "a: expected int")
+          (decode (field_opt "a" int) {|{"a":true}|});
+        Alcotest.check opt "nullable needs the field" (Error "a: missing field")
+          (decode (field "a" (nullable int)) "{}");
+        Alcotest.check opt "out of range" (Error "a: expected int")
+          (decode (field_opt "a" int) {|{"a":1e20}|});
+        Alcotest.check
+          Alcotest.(result int64 string)
+          "int64" (Ok Int64.max_int)
+          (decode int64_decimal {|"9223372036854775807"|}));
+    unit "header is an exact match" (fun () ->
+        let h = header ~format:"f" ~version:2 in
+        let unit_r = Alcotest.(result unit string) in
+        Alcotest.check unit_r "match" (Ok ()) (decode h {|{"format":"f","version":2}|});
+        Alcotest.check unit_r "older" (Error "version: 1 not supported (this build reads 2)")
+          (decode h {|{"format":"f","version":1}|});
+        Alcotest.check unit_r "format" (Error {|format: expected "f", got "g"|})
+          (decode h {|{"format":"g","version":2}|});
+        Alcotest.check unit_r "not an object" (Error "expected object") (decode h "[]"));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -182,6 +256,33 @@ let event_tests =
 
 let ring_tests =
   [
+    unit "a raising sink does not wedge the bus" (fun () ->
+        let raised = Atomic.make false in
+        let sink =
+          {
+            Telemetry.Sink.on_event =
+              (fun _ -> if not (Atomic.exchange raised true) then failwith "sink");
+            on_finalize = ignore;
+          }
+        in
+        let bus = Telemetry.Bus.create [ sink ] in
+        let ev = E.Energy_reassigned { energy = 1 } in
+        Alcotest.check_raises "first emit raises" (Failure "sink") (fun () ->
+            Telemetry.Bus.emit bus ev);
+        (* a bus left locked would block this emit forever: poll instead
+           of joining so the failure is reported rather than hung *)
+        let emitted = Atomic.make false in
+        let d =
+          Domain.spawn (fun () ->
+              Telemetry.Bus.emit bus ev;
+              Atomic.set emitted true)
+        in
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while (not (Atomic.get emitted)) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.005
+        done;
+        if Atomic.get emitted then Domain.join d
+        else Alcotest.fail "emit from another domain blocked on the bus lock");
     unit "capacity bound and oldest-first drop" (fun () ->
         let r = Telemetry.Sink.ring ~capacity:5 in
         let sink = Telemetry.Sink.ring_sink r in
@@ -406,6 +507,7 @@ let campaign_tests =
 let suite =
   [
     ("telemetry: json", json_tests);
+    ("telemetry: decode", decode_tests);
     ("telemetry: events", event_tests);
     ("telemetry: ring", ring_tests);
     ("telemetry: metrics", metrics_tests);

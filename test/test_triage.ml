@@ -236,6 +236,11 @@ let artifact_tests =
           Alcotest.(check string) "same render" (Triage.Artifact.to_string a)
             (Triage.Artifact.to_string b));
         Sys.remove path);
+    Alcotest.test_case "load on a directory is an error" `Quick (fun () ->
+        Util.Fileio.with_temp_dir ~prefix:"artifact-dir" (fun dir ->
+            match Triage.Artifact.load dir with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.fail "a directory loaded as an artifact"));
     Alcotest.test_case "tampered source hash is rejected" `Quick (fun () ->
         let a = first_artifact () in
         let s = Triage.Artifact.to_string a in
@@ -304,6 +309,17 @@ let regression_tests =
                    && String.sub b 0 (String.length p) = p)
                  files))
           prefixes);
+    Alcotest.test_case "every regression artifact re-saves byte-identically"
+      `Quick
+      (fun () ->
+        List.iter
+          (fun path ->
+            match Triage.Artifact.load path with
+            | Error e -> Alcotest.fail (path ^ ": " ^ e)
+            | Ok a ->
+              Alcotest.(check string) path (Util.Fileio.read_file path)
+                (Triage.Artifact.to_string a ^ "\n"))
+          (regression_files ()));
     Alcotest.test_case "every regression artifact replays (twice, identically)"
       `Slow
       (fun () ->
