@@ -286,30 +286,21 @@ let fuzz_cmd =
     (* shrinking and minimising below are single-domain work *)
     Mufuzz.Pool.retire_idle ();
     let report = { report with Mufuzz.Report.corpus_skipped } in
-    (match artifacts_dir with
-    | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let target = Triage.Shrink.target_of_config config contract in
-      List.iter
-        (fun ((f : Oracles.Oracle.finding), seed) ->
-          let r = Triage.Shrink.shrink ~target f seed in
-          match Triage.Shrink.reraise ~target f r.seed with
-          | None ->
-            Printf.eprintf "warning: finding [%s] pc=%d did not reproduce; no artifact written\n"
-              (Oracles.Oracle.class_to_string f.cls) f.pc
-          | Some finding ->
-            let a =
-              Triage.Artifact.make ~contract ~gas_per_tx:config.gas_per_tx
-                ~n_senders:config.n_senders ~attacker:config.attacker_enabled
-                ~finding ~seed:r.seed
-            in
-            let path = Filename.concat dir (Triage.Artifact.file_name a) in
-            Triage.Artifact.save path a;
-            if not json then
-              Printf.printf "artifact: %s (%d txs, %d shrink execs)\n" path
-                (List.length r.seed.txs) r.execs)
-        report.witness_seeds
-    | None -> ());
+    Option.iter
+      (fun dir ->
+        List.iter
+          (fun ((f : Oracles.Oracle.finding), outcome) ->
+            match outcome with
+            | Ok (w : Triage.Repro.written) ->
+              if not json then
+                Printf.printf "artifact: %s (%d txs, %d shrink execs)\n" w.path
+                  w.txs w.execs
+            | Error e ->
+              Printf.eprintf "warning: finding [%s] pc=%d %s; no artifact written\n"
+                (Oracles.Oracle.class_to_string f.cls) f.pc e)
+          (Triage.Repro.save_witnesses ~dir ~config ~contract
+             report.witness_seeds))
+      artifacts_dir;
     write_metrics_file metrics metrics_out;
     if json then begin
       print_endline (Mufuzz.Report.to_json_string report);
@@ -337,16 +328,13 @@ let fuzz_cmd =
         report.witnesses;
       if do_minimize && report.witness_seeds <> [] then begin
         print_endline "\nminimized witnesses:";
+        let target = Triage.Shrink.target_of_config config contract in
         List.iter
           (fun ((f : Oracles.Oracle.finding), seed) ->
-            let shrunk, spent =
-              Mufuzz.Minimize.minimize ~contract ~gas:config.gas_per_tx
-                ~n_senders:config.n_senders ~attacker:config.attacker_enabled f
-                seed
-            in
+            let r = Triage.Shrink.shrink ~target f seed in
             Format.printf "  [%s] (%d extra execs) %s@."
               (Oracles.Oracle.class_to_string f.cls)
-              spent (Mufuzz.Seed.show shrunk))
+              r.execs (Mufuzz.Seed.show r.seed))
           report.witness_seeds
       end;
       (match corpus_out with
@@ -754,61 +742,30 @@ let client_cmd =
   let run socket port requests =
     let addr =
       match (socket, port) with
-      | Some p, None -> Ok (Unix.PF_UNIX, Unix.ADDR_UNIX p)
-      | None, Some p ->
-        Ok (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_loopback, p))
+      | Some p, None -> Ok (Serve.Client.Unix_socket p)
+      | None, Some p -> Ok (Serve.Client.Tcp p)
       | None, None -> Error "one of --socket or --port is required"
       | Some _, Some _ -> Error "give --socket or --port, not both"
     in
-    match addr with
+    match Result.bind addr Serve.Client.connect with
     | Error msg ->
       structured_error msg;
       exit 2
-    | Ok (domain, addr) -> (
-      match
-        let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
-        Unix.connect fd addr;
-        fd
-      with
-      | exception Unix.Unix_error (e, _, _) ->
-        structured_error
-          (Printf.sprintf "cannot connect: %s" (Unix.error_message e));
-        exit 2
-      | fd ->
-        let ic = Unix.in_channel_of_descr fd in
-        let oc = Unix.out_channel_of_descr fd in
-        let read_line_or_die () =
-          match input_line ic with
-          | line -> line
-          | exception End_of_file ->
-            structured_error "server closed the connection";
-            exit 2
-        in
-        ignore (read_line_or_die ());  (* the greeting *)
-        let all_ok =
-          List.fold_left
-            (fun all_ok request ->
-              output_string oc request;
-              output_char oc '\n';
-              flush oc;
-              let response = read_line_or_die () in
+    | Ok conn ->
+      let all_ok =
+        List.fold_left
+          (fun all_ok request ->
+            match Serve.Client.request_line conn request with
+            | Error msg ->
+              structured_error msg;
+              exit 2
+            | Ok response ->
               print_endline response;
-              let ok =
-                match Telemetry.Json.of_string response with
-                | Ok j -> (
-                  match
-                    Option.bind (Telemetry.Json.member "ok" j)
-                      Telemetry.Json.to_bool
-                  with
-                  | Some b -> b
-                  | None -> false)
-                | Error _ -> false
-              in
-              all_ok && ok)
-            true requests
-        in
-        close_out_noerr oc;
-        if not all_ok then exit 1)
+              all_ok && Serve.Client.response_ok response)
+          true requests
+      in
+      Serve.Client.close conn;
+      if not all_ok then exit 1
   in
   Cmd.v
     (Cmd.info "client"
@@ -829,6 +786,19 @@ let fleet_state_arg =
 let fleet_corpus_arg =
   Arg.(required & opt (some string) None & info [ "corpus" ] ~docv:"DIR"
          ~doc:"Sharded corpus directory (from $(b,mufuzz fleet shard)).")
+
+let fleet_daemons_term ~doc =
+  let daemon_arg =
+    Arg.(value & opt_all string [] & info [ "daemon" ] ~docv:"SOCKET" ~doc)
+  in
+  let daemon_port_arg =
+    Arg.(value & opt_all int [] & info [ "daemon-port" ] ~docv:"PORT"
+           ~doc:"Like --daemon, for a TCP daemon on 127.0.0.1:PORT.")
+  in
+  Term.(const (fun sockets ports ->
+            List.map (fun p -> Serve.Client.Unix_socket p) sockets
+            @ List.map (fun p -> Serve.Client.Tcp p) ports)
+        $ daemon_arg $ daemon_port_arg)
 
 let fleet_config_term =
   let tools_arg =
@@ -968,16 +938,6 @@ let fleet_run_cmd =
     Arg.(value & opt int 2 & info [ "workers"; "j" ] ~docv:"N"
            ~doc:"Local worker processes to fork (ignored with --daemon).")
   in
-  let daemon_arg =
-    Arg.(value & opt_all string [] & info [ "daemon" ] ~docv:"SOCKET"
-           ~doc:"Instead of forking workers, submit campaigns to the \
-                 $(b,mufuzz serve) daemon at this Unix socket (repeatable; \
-                 campaigns round-robin across daemons).")
-  in
-  let daemon_port_arg =
-    Arg.(value & opt_all int [] & info [ "daemon-port" ] ~docv:"PORT"
-           ~doc:"Like --daemon, for a TCP daemon on 127.0.0.1:PORT.")
-  in
   let heartbeat_arg =
     Arg.(value & opt float 60.0 & info [ "heartbeat-timeout" ] ~docv:"SECS"
            ~doc:"Declare a worker hung after this many seconds of heartbeat \
@@ -992,14 +952,11 @@ let fleet_run_cmd =
            ~doc:"Also write fig5_small.csv, fig5_large.csv, fig6.csv and \
                  findings.csv (bench-harness formats) into DIR.")
   in
-  let run state corpus config workers daemons daemon_ports heartbeat status
-      out metrics_out verbose =
+  let run state corpus config workers daemons heartbeat status out metrics_out
+      verbose =
     setup_logs verbose;
     let dispatch =
-      match
-        List.map (fun p -> Fleet.Client.Unix_socket p) daemons
-        @ List.map (fun p -> Fleet.Client.Tcp p) daemon_ports
-      with
+      match daemons with
       | [] -> Fleet.Driver.Processes workers
       | addrs -> Fleet.Driver.Daemons addrs
     in
@@ -1040,7 +997,13 @@ let fleet_run_cmd =
              with the same arguments to resume; the final aggregate is \
              identical to an uninterrupted run's.")
     Term.(const run $ fleet_state_arg $ fleet_corpus_arg $ fleet_config_term
-          $ workers_arg $ daemon_arg $ daemon_port_arg $ heartbeat_arg
+          $ workers_arg
+          $ fleet_daemons_term
+              ~doc:"Instead of running campaigns in the workers, give each \
+                    $(b,mufuzz serve) daemon at this Unix socket one worker \
+                    that submits its shard's campaigns there (repeatable; \
+                    one worker per daemon)."
+          $ heartbeat_arg
           $ status_arg $ out_arg $ metrics_arg $ verbose_arg)
 
 let fleet_worker_cmd =
@@ -1048,7 +1011,7 @@ let fleet_worker_cmd =
     Arg.(required & opt (some int) None & info [ "shard" ] ~docv:"K"
            ~doc:"Shard index to process.")
   in
-  let run state corpus shard verbose =
+  let run state corpus shard daemons verbose =
     setup_logs verbose;
     let config_path = Filename.concat state Fleet.Driver.config_file in
     match
@@ -1060,8 +1023,12 @@ let fleet_worker_cmd =
     | Error e ->
       Printf.eprintf "mufuzz: fleet worker: %s: %s\n" config_path e;
       exit 3
+    | Ok _ when List.length daemons > 1 ->
+      Printf.eprintf "mufuzz: fleet worker: give at most one daemon\n";
+      exit 3
     | Ok config -> (
-      match Fleet.Worker.run_shard ~state ~corpus ~shard ~config () with
+      let daemon = List.nth_opt daemons 0 in
+      match Fleet.Worker.run_shard ?daemon ~state ~corpus ~shard ~config () with
       | Ok summary ->
         Printf.printf "shard %d done: %d contracts, %d campaign failures\n"
           shard summary.Fleet.Summary.s_contracts
@@ -1073,10 +1040,15 @@ let fleet_worker_cmd =
   Cmd.v
     (Cmd.info "worker"
        ~doc:"Process one corpus shard (normally spawned by $(b,fleet run), \
-             which passes --state/--corpus/--shard). Reads the fleet config \
+             which passes --state/--corpus/--shard, and --daemon or \
+             --daemon-port in daemon dispatch). Reads the fleet config \
              pinned in the state directory, streams the shard, and \
              publishes progress and the final shard summary.")
     Term.(const run $ fleet_state_arg $ fleet_corpus_arg $ shard_arg
+          $ fleet_daemons_term
+              ~doc:"Submit the shard's campaigns to the $(b,mufuzz serve) \
+                    daemon at this Unix socket instead of running them \
+                    in-process."
           $ verbose_arg)
 
 let fleet_status_cmd =

@@ -8,7 +8,7 @@ let config_file = "fleet.json"
 
 let summary_out = "fleet-summary.json"
 
-type dispatch = Processes of int | Daemons of Client.addr list
+type dispatch = Processes of int | Daemons of Serve.Client.addr list
 
 type options = {
   state : string;
@@ -20,7 +20,8 @@ type options = {
   status_interval : float;  (** 0 disables the stderr status line *)
   worker_argv : (shard:int -> string array) option;
       (** override the spawned worker command (tests); default re-execs
-          [Sys.executable_name fleet worker ...] *)
+          [Sys.executable_name fleet worker ...]. Daemon dispatch appends
+          the slot's daemon either way. *)
 }
 
 let default_options ~state ~corpus ~config ~dispatch =
@@ -34,13 +35,6 @@ let default_options ~state ~corpus ~config ~dispatch =
     status_interval = 0.0;
     worker_argv = None;
   }
-
-let rec mkdirs dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdirs parent;
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  end
 
 type counters = {
   m_shards_done : Telemetry.Metrics.counter;
@@ -81,7 +75,11 @@ let make_counters metrics =
 let check_config ~state ~(config : Config.t) =
   let path = Filename.concat state config_file in
   if Sys.file_exists path then
-    match Config.of_string (String.trim (Util.Fileio.read_file path)) with
+    match
+      Result.bind
+        (try Ok (Util.Fileio.read_file path) with Sys_error e -> Error e)
+        (fun text -> Config.of_string (String.trim text))
+    with
     | Error e -> Error (Printf.sprintf "%s: %s" path e)
     | Ok existing ->
       if Config.digest existing <> Config.digest config then
@@ -136,16 +134,36 @@ let default_worker_argv ~options ~shard =
     string_of_int shard;
   |]
 
-let spawn_worker options ~shard =
+(* The daemon reaches the worker through the flags [fleet run] takes. *)
+let daemon_argv = function
+  | None -> [||]
+  | Some (Serve.Client.Unix_socket p) -> [| "--daemon"; p |]
+  | Some (Serve.Client.Tcp port) -> [| "--daemon-port"; string_of_int port |]
+
+let spawn_worker options ~shard ~daemon =
   let argv =
     match options.worker_argv with
     | Some f -> f ~shard
     | None -> default_worker_argv ~options ~shard
   in
+  let argv = Array.append argv (daemon_argv daemon) in
   let pid =
     Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr
   in
   { pid; slot_shard = shard; started = Unix.gettimeofday () }
+
+(* A daemon that cannot be reached gets no worker: the worker would
+   only die on it. *)
+let start_worker options ~shard ~daemon =
+  let ( let* ) = Result.bind in
+  let* () =
+    match daemon with
+    | None -> Ok ()
+    | Some addr -> Result.map Serve.Client.close (Serve.Client.connect addr)
+  in
+  try Ok (spawn_worker options ~shard ~daemon)
+  with Unix.Unix_error (e, _, _) ->
+    Error (Printf.sprintf "cannot spawn worker: %s" (Unix.error_message e))
 
 let heartbeat_age ~state ~shard ~now =
   let path =
@@ -157,7 +175,7 @@ let heartbeat_age ~state ~shard ~now =
   | { Unix.st_mtime; _ } -> Some (now -. st_mtime)
   | exception Unix.Unix_error _ -> None
 
-(* ---------------- shared completion bookkeeping ---------------- *)
+(* ---------------- completion bookkeeping ---------------- *)
 
 let record_done ~state ~counters ~bus ledger ~shard ~(summary : Summary.t) =
   let failed = List.length summary.Summary.s_failed in
@@ -201,11 +219,13 @@ let status_line ledger ~alive =
     (Ledger.done_count ledger) (Ledger.shards ledger) alive
     ledger.Ledger.lg_reassignments
 
-(* ---------------- process-mode main loop ---------------- *)
+(* ---------------- the supervision loop ---------------- *)
 
-let run_processes ~counters ~bus ~options ~jobs ledger0 =
+(* One worker process per slot; in daemon dispatch slot [i]'s worker
+   submits its campaigns to daemon [i]. *)
+let supervise ~counters ~bus ~options ~daemons ledger0 =
   let state = options.state in
-  let slots : slot option array = Array.make (Stdlib.max 1 jobs) None in
+  let slots : slot option array = Array.make (Array.length daemons) None in
   let alive () =
     Array.fold_left
       (fun n -> function Some _ -> n + 1 | None -> n)
@@ -248,24 +268,21 @@ let run_processes ~counters ~bus ~options ~jobs ledger0 =
           match Ledger.acquire !ledger ~worker:i with
           | None -> ()
           | Some (l, shard) -> (
-            match spawn_worker options ~shard with
-            | slot ->
+            match start_worker options ~shard ~daemon:daemons.(i) with
+            | Error e -> note_failure e
+            | Ok slot ->
               ledger := l;
               Ledger.save ~dir:state l;
               slots.(i) <- Some slot;
               Telemetry.Bus.emit bus
                 (Telemetry.Event.Fleet_shard_leased { shard; worker = i });
               Log.info (fun m ->
-                  m "shard %d leased to worker %d (pid %d)" shard i slot.pid)
-            | exception Unix.Unix_error (e, _, _) ->
-              note_failure
-                (Printf.sprintf "cannot spawn worker: %s"
-                   (Unix.error_message e)))))
+                  m "shard %d leased to worker %d (pid %d)" shard i slot.pid))))
       slots;
     Telemetry.Metrics.set counters.m_workers_alive (float_of_int (alive ()));
     if alive () = 0 && not (Ledger.all_done !ledger) then
       (* nothing running and nothing spawnable — only reachable when
-         spawn failed, which already set [failure] *)
+         a spawn or daemon check failed, which already set [failure] *)
       note_failure "no workers running and shards still pending"
     else begin
       (try ignore (Unix.select [] [] [] options.poll_interval)
@@ -331,123 +348,6 @@ let run_processes ~counters ~bus ~options ~jobs ledger0 =
   Telemetry.Metrics.set counters.m_workers_alive 0.0;
   match !failure with Some msg -> Error msg | None -> Ok !ledger
 
-(* ---------------- daemon-mode dispatch ---------------- *)
-
-(* One campaign as a serve-protocol round trip: submit, poll status,
-   fetch the JSON report, distil the observation. *)
-let daemon_run_tool ~clients ~rr ~(config : Config.t) ~poll_interval
-    ~entry ~index ~contract ~(profile : Baselines.Fuzzers.profile) =
-  ignore index;
-  let client = clients.(!rr mod Array.length clients) in
-  incr rr;
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        failwith
-          (Printf.sprintf "daemon %s: %s" (Client.addr_to_string (fst client))
-             s))
-      fmt
-  in
-  let conn = snd client in
-  let request json =
-    match Client.request conn json with
-    | Ok resp -> resp
-    | Error e -> fail "%s" e
-  in
-  let budget =
-    Config.budget_for config ~size:(Config.size_of_contract contract)
-  in
-  let submit =
-    request
-      (J.Obj
-         [
-           ("op", J.String "submit");
-           ("source", J.String entry.Shard.source);
-           ("budget", J.Int budget);
-           ( "seed",
-             J.String (Int64.to_string (Config.seed_for config entry.Shard.name))
-           );
-           ("tool", J.String profile.name);
-         ])
-  in
-  let id =
-    match Option.bind (J.member "id" submit) J.string_value with
-    | Some id -> id
-    | None -> fail "submit response carries no id"
-  in
-  let rec wait () =
-    let status =
-      request (J.Obj [ ("op", J.String "status"); ("id", J.String id) ])
-    in
-    match Option.bind (J.member "state" status) J.string_value with
-    | Some "completed" -> ()
-    | Some ("failed" | "cancelled") ->
-      fail "campaign %s did not complete" id
-    | Some _ | None ->
-      (try ignore (Unix.select [] [] [] poll_interval)
-       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      wait ()
-  in
-  wait ();
-  let report =
-    request (J.Obj [ ("op", J.String "report"); ("id", J.String id) ])
-  in
-  match J.member "report" report with
-  | None -> fail "report response carries no report"
-  | Some rj -> (
-    match Summary.obs_of_report_json rj with
-    | Ok obs -> obs
-    | Error e -> fail "report: %s" e)
-
-let run_daemons ~counters ~bus ~options ~addrs ledger0 =
-  let ( let* ) = Result.bind in
-  let rec connect_all acc = function
-    | [] -> Ok (Array.of_list (List.rev acc))
-    | addr :: rest -> (
-      match Client.connect addr with
-      | Ok c -> connect_all ((addr, c) :: acc) rest
-      | Error e ->
-        List.iter (fun (_, c) -> Client.close c) acc;
-        Error e)
-  in
-  let* clients = connect_all [] addrs in
-  if Array.length clients = 0 then Error "daemon dispatch needs at least one daemon"
-  else begin
-    let rr = ref 0 in
-    let finally () = Array.iter (fun (_, c) -> Client.close c) clients in
-    Fun.protect ~finally (fun () ->
-        Telemetry.Metrics.set counters.m_workers_alive
-          (float_of_int (Array.length clients));
-        let run_tool ~entry ~index ~contract ~profile =
-          daemon_run_tool ~clients ~rr ~config:options.config
-            ~poll_interval:options.poll_interval ~entry ~index ~contract
-            ~profile
-        in
-        let rec loop ledger =
-          match Ledger.acquire ledger ~worker:0 with
-          | None -> Ok ledger
-          | Some (ledger, shard) ->
-            Ledger.save ~dir:options.state ledger;
-            Telemetry.Bus.emit bus
-              (Telemetry.Event.Fleet_shard_leased { shard; worker = 0 });
-            let* summary =
-              Worker.run_shard ~run_tool ~state:options.state
-                ~corpus:options.corpus ~shard ~config:options.config ()
-            in
-            let ledger =
-              record_done ~state:options.state ~counters ~bus ledger ~shard
-                ~summary
-            in
-            if
-              options.status_interval > 0.0
-            then prerr_endline (status_line ledger ~alive:(Array.length clients));
-            loop ledger
-        in
-        let* ledger = loop ledger0 in
-        Telemetry.Metrics.set counters.m_workers_alive 0.0;
-        Ok ledger)
-  end
-
 (* ---------------- entry point ---------------- *)
 
 (* One coordinator per state dir: two drivers leasing from the same
@@ -474,9 +374,15 @@ let run ?(metrics = Telemetry.Metrics.create ()) ?(bus = Telemetry.Bus.null)
   let ( let* ) = Result.bind in
   let config = options.config in
   let* () = Config.validate_tools config in
+  let* daemons =
+    match options.dispatch with
+    | Processes jobs -> Ok (Array.make (Stdlib.max 1 jobs) None)
+    | Daemons [] -> Error "daemon dispatch needs at least one daemon"
+    | Daemons addrs -> Ok (Array.of_list (List.map Option.some addrs))
+  in
   let* manifest = Shard.load_manifest options.corpus in
   let* manifest_hash = Shard.manifest_digest options.corpus in
-  mkdirs options.state;
+  Util.Fileio.mkdirs options.state;
   let* lock_fd = acquire_lock ~state:options.state in
   Fun.protect ~finally:(fun () -> try Unix.close lock_fd with Unix.Unix_error _ -> ())
   @@ fun () ->
@@ -505,15 +411,11 @@ let run ?(metrics = Telemetry.Metrics.create ()) ?(bus = Telemetry.Bus.null)
     Telemetry.Metrics.add counters.m_reassignments reclaimed
   end;
   Ledger.save ~dir:options.state ledger;
-  let* ledger =
-    match options.dispatch with
-    | Processes jobs -> run_processes ~counters ~bus ~options ~jobs ledger
-    | Daemons addrs -> run_daemons ~counters ~bus ~options ~addrs ledger
-  in
+  let* ledger = supervise ~counters ~bus ~options ~daemons ledger in
   merge_all ~state:options.state ~config ledger
 
 let write_csvs ~dir ~(config : Config.t) summary =
-  mkdirs dir;
+  Util.Fileio.mkdirs dir;
   let tools = config.Config.tools in
   let put name content =
     Util.Fileio.write_atomic (Filename.concat dir name) content

@@ -1,10 +1,12 @@
 (** The fleet coordinator.
 
-    Leases shards from the {!Ledger} to workers — forked local worker
-    processes ({!Processes}) or running [mufuzz serve] daemons
-    ({!Daemons}) — supervises them by heartbeat, reassigns the leases
-    of dead or hung workers, and merges the published shard summaries
-    into the fleet aggregate.
+    Leases shards from the {!Ledger} to forked [fleet worker]
+    processes, supervises them by heartbeat, reassigns the leases of
+    dead or hung workers, and merges the published shard summaries into
+    the fleet aggregate. Both dispatch modes share this one supervision
+    loop: {!Processes} runs each worker's campaigns in the worker, and
+    {!Daemons} gives every daemon one worker slot whose worker submits
+    its shard's campaigns to that daemon (see {!Worker.run_shard}).
 
     Everything the coordinator holds is O(shards): the ledger, the
     slot table and, at the end, one running {!Summary.t} merge.
@@ -24,9 +26,12 @@ val summary_out : string
 (** ["fleet-summary.json"], the merged aggregate. *)
 
 type dispatch =
-  | Processes of int  (** fork N local [fleet worker] processes *)
-  | Daemons of Client.addr list
-      (** farm campaigns to running serve daemons, round-robin *)
+  | Processes of int  (** N worker slots running campaigns in-process *)
+  | Daemons of Serve.Client.addr list
+      (** one worker slot per running serve daemon. Before spawning a
+          slot's worker the driver checks that its daemon accepts a
+          connection; the worker receives the address as [--daemon
+          PATH] or [--daemon-port N], appended to its argv. *)
 
 type options = {
   state : string;
@@ -39,6 +44,9 @@ type options = {
   poll_interval : float;
   status_interval : float;  (** stderr status-line cadence; [0] = off *)
   worker_argv : (shard:int -> string array) option;
+      (** replaces the default [Sys.executable_name fleet worker --state
+          S --corpus C --shard K]; daemon dispatch still appends the
+          slot's daemon flags *)
 }
 
 val default_options :
@@ -59,6 +67,11 @@ val run :
     directory a previous run left behind — that is the resume path.
     A [lockf] lock on [state/fleet.lock] (auto-released on process
     death, even SIGKILL) rejects a second concurrent coordinator.
+
+    [Error] leaves the state directory resumable: an unreadable state
+    file, a worker that cannot be spawned and a daemon that does not
+    accept a connection all stop the run, SIGKILL the running workers
+    and return their leases to the pool on the next run.
     [metrics] gains the [mufuzz_fleet_*] series; [bus] receives
     [Fleet_shard_leased] / [Fleet_shard_done] /
     [Fleet_lease_reassigned] events. *)

@@ -64,13 +64,6 @@ let manifest_json m =
              m.m_shards) );
     ]
 
-let rec mkdirs dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdirs parent;
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  end
-
 (* Balanced contiguous slicing: shard k holds entry indices
    [k*total/K, (k+1)*total/K) — deterministic, so a re-sharded corpus
    with the same (total, K) reproduces the same assignment. *)
@@ -79,7 +72,7 @@ let bounds ~total ~shards k = (k * total / shards, (k + 1) * total / shards)
 let write ~dir ~shards ~total seq =
   if shards < 1 then invalid_arg "Shard.write: shards must be >= 1";
   if total < 0 then invalid_arg "Shard.write: negative total";
-  mkdirs dir;
+  Util.Fileio.mkdirs dir;
   let rest = ref seq in
   let next () =
     match !rest () with

@@ -20,13 +20,6 @@ let heartbeat_file = "heartbeat"
 
 let campaign_namespace ~index ~tool = Printf.sprintf "c%04d-%s" index tool
 
-let rec mkdirs dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdirs parent;
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  end
-
 (* Progress is written only at contract granularity: [p_done] contracts
    are fully folded into [p_summary]. Campaigns inside the current
    contract checkpoint separately (under [c<idx>-<tool>/]), so a replay
@@ -74,9 +67,9 @@ let touch path =
   try Unix.utimes path 0.0 0.0 (* 0.0 0.0 = set both times to now *)
   with Unix.Unix_error _ -> ()
 
-(* One campaign: build the per-(contract, tool) config, resume from the
-   newest checkpoint if one survived a previous lease, run, and hand
-   back the report. *)
+(* One campaign in-process: build the per-(contract, tool) config,
+   resume from the newest checkpoint if one survived a previous lease,
+   run, and distil the observation. *)
 let run_campaign ?metrics ~config ~(entry : Shard.entry) ~index ~contract
     ~(profile : Baselines.Fuzzers.profile) ~shard_dir ~heartbeat ~interrupt ()
     =
@@ -123,27 +116,100 @@ let run_campaign ?metrics ~config ~(entry : Shard.entry) ~index ~contract
     heartbeat ();
     if (not final) && interrupt () then raise Interrupted
   in
-  let report =
-    Baselines.Fuzzers.run profile ~config:effective ?metrics ?resume
-      ~on_safe_point contract
-  in
-  (report, cdir)
+  Summary.obs_of_report
+    (Baselines.Fuzzers.run profile ~config:effective ?metrics ?resume
+       ~on_safe_point contract)
 
-let local_runner ?metrics ~config ~shard_dir ~heartbeat ~interrupt ~entry
-    ~index ~contract ~profile () =
-  let report, _cdir =
-    run_campaign ?metrics ~config ~entry ~index ~contract ~profile ~shard_dir
-      ~heartbeat ~interrupt ()
+(* A lost daemon connection is not a campaign failure: it ends the
+   worker, and the driver re-leases the shard. *)
+exception Daemon_lost of string
+
+let daemon_poll_interval = 0.02
+
+(* One campaign as a serve-protocol round trip: submit, poll status
+   (touching the heartbeat each time) until it finishes, fetch the JSON
+   report and distil the observation. A refused request or a failed
+   campaign is a campaign failure. *)
+let daemon_runner conn ~addr ~heartbeat ~(config : Config.t)
+    ~(entry : Shard.entry) ~contract ~(profile : Baselines.Fuzzers.profile) =
+  let fail fmt =
+    Printf.ksprintf
+      (fun s -> failwith ("daemon " ^ Serve.Client.addr_to_string addr ^ ": " ^ s))
+      fmt
   in
-  Summary.obs_of_report report
+  let request json =
+    match Serve.Client.request conn json with
+    | Ok resp -> resp
+    | Error (Serve.Client.Lost e) -> raise (Daemon_lost e)
+    | Error (Serve.Client.Refused e) -> fail "%s" e
+  in
+  let string_field name json = Option.bind (J.member name json) J.string_value in
+  let submit =
+    request
+      (J.Obj
+         [
+           ("op", J.String "submit");
+           ("source", J.String entry.source);
+           ( "budget",
+             J.Int
+               (Config.budget_for config ~size:(Config.size_of_contract contract))
+           );
+           ("seed", J.String (Int64.to_string (Config.seed_for config entry.name)));
+           ("tool", J.String profile.name);
+         ])
+  in
+  let id =
+    match string_field "id" submit with
+    | Some id -> id
+    | None -> fail "submit response carries no id"
+  in
+  let rec wait () =
+    heartbeat ();
+    let status =
+      request (J.Obj [ ("op", J.String "status"); ("id", J.String id) ])
+    in
+    match string_field "state" status with
+    | Some "completed" -> ()
+    | Some ("failed" | "cancelled") -> fail "campaign %s did not complete" id
+    | Some _ | None ->
+      (try ignore (Unix.select [] [] [] daemon_poll_interval)
+       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      wait ()
+  in
+  wait ();
+  let report =
+    request (J.Obj [ ("op", J.String "report"); ("id", J.String id) ])
+  in
+  match J.member "report" report with
+  | None -> fail "report response carries no report"
+  | Some rj -> (
+    match Summary.obs_of_report_json rj with
+    | Ok obs -> obs
+    | Error e -> fail "report: %s" e)
+
+let with_daemon daemon f =
+  match daemon with
+  | None -> f None
+  | Some addr -> (
+    match Serve.Client.connect addr with
+    | Error e -> Error e
+    | Ok conn ->
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close conn)
+        (fun () ->
+          try f (Some (addr, conn))
+          with Daemon_lost e ->
+            Error
+              (Printf.sprintf "daemon %s: connection lost: %s"
+                 (Serve.Client.addr_to_string addr) e)))
 
 let run_shard ?metrics ?(heartbeat = fun () -> ()) ?(interrupt = fun () -> false)
-    ?run_tool ~state ~corpus ~shard ~(config : Config.t) () =
+    ?daemon ~state ~corpus ~shard ~(config : Config.t) () =
   let ( let* ) = Result.bind in
   let* manifest = Shard.load_manifest corpus in
   let* () = Config.validate_tools config in
   let shard_dir = Filename.concat state (shard_dir_name shard) in
-  mkdirs shard_dir;
+  Util.Fileio.mkdirs shard_dir;
   let hb_path = Filename.concat shard_dir heartbeat_file in
   let beat () =
     heartbeat ();
@@ -158,13 +224,15 @@ let run_shard ?metrics ?(heartbeat = fun () -> ()) ?(interrupt = fun () -> false
   let tools =
     List.filter_map Baselines.Fuzzers.find config.Config.tools
   in
-  let run_tool =
-    match run_tool with
-    | Some f -> f
+  with_daemon daemon @@ fun conn ->
+  let run_tool ~entry ~index ~contract ~profile =
+    match conn with
+    | Some (addr, conn) ->
+      daemon_runner conn ~addr ~heartbeat:beat ~config ~entry ~contract
+        ~profile
     | None ->
-      fun ~entry ~index ~contract ~profile ->
-        local_runner ?metrics ~config ~shard_dir ~heartbeat:beat ~interrupt
-          ~entry ~index ~contract ~profile ()
+      run_campaign ?metrics ~config ~entry ~index ~contract ~profile
+        ~shard_dir ~heartbeat:beat ~interrupt ()
   in
   beat ();
   let* summary =
@@ -191,8 +259,9 @@ let run_shard ?metrics ?(heartbeat = fun () -> ()) ?(interrupt = fun () -> false
                     | obs ->
                       Summary.fold acc ~tool:profile.Baselines.Fuzzers.name
                         ~size ~budget obs
-                    | exception ((Interrupted | Mufuzz.Campaign.Preempt) as e)
-                      ->
+                    | exception
+                        ((Interrupted | Mufuzz.Campaign.Preempt | Daemon_lost _)
+                         as e) ->
                       raise e
                     | exception e ->
                       Log.warn (fun m ->

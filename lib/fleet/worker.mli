@@ -34,12 +34,7 @@ val run_shard :
   ?metrics:Telemetry.Metrics.t ->
   ?heartbeat:(unit -> unit) ->
   ?interrupt:(unit -> bool) ->
-  ?run_tool:
-    (entry:Shard.entry ->
-    index:int ->
-    contract:Minisol.Contract.t ->
-    profile:Baselines.Fuzzers.profile ->
-    Summary.obs) ->
+  ?daemon:Serve.Client.addr ->
   state:string ->
   corpus:string ->
   shard:int ->
@@ -48,13 +43,19 @@ val run_shard :
   (Summary.t, string) result
 (** Process shard [shard] of the corpus at [corpus], writing progress
     under [state]. Per-campaign failures (compile errors, oracle
-    crashes) are recorded as summary failures, never aborting the
-    shard; {!Interrupted} and [Campaign.Preempt] always propagate.
+    crashes, a campaign the daemon refuses or fails) are recorded as
+    summary failures, never aborting the shard; {!Interrupted} and
+    [Campaign.Preempt] always propagate.
 
-    [run_tool] swaps out how a single campaign runs — the default runs
-    it in-process with [Persist] checkpointing; the fleet driver's
-    daemon mode substitutes a [serve]-protocol submission. Either way
-    the progress/resume bookkeeping here is shared. *)
+    Without [daemon] each campaign runs in-process with [Persist]
+    checkpointing. With [daemon] the worker connects to that
+    [mufuzz serve] daemon and submits each campaign there, polling its
+    status (and touching the heartbeat on every poll) until it
+    completes; the progress and resume bookkeeping is the same. A
+    daemon that cannot be reached, or a connection lost mid-shard,
+    returns [Error] without recording the in-flight contract: the
+    driver re-leases the shard and a later worker replays it from
+    [progress.json]. *)
 
 val load_summary :
   state:string -> shard:int -> buckets:int -> (Summary.t, string) result

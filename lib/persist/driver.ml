@@ -23,10 +23,10 @@ let m_written_counter metrics =
   Telemetry.Metrics.counter metrics "mufuzz_checkpoint_written_total"
     ~help:"campaign checkpoints written"
 
-let create ?metrics ?(start_execs = 0) ~tool ~contract ~dir
+let create ?metrics ?(start_execs = 0) ~tool ~contract store
     (config : Mufuzz.Config.t) =
   {
-    store = Store.create ~dir ~keep:config.checkpoint_keep;
+    store;
     every_execs = config.checkpoint_every_execs;
     every_seconds = config.checkpoint_every_seconds;
     tool;
@@ -38,37 +38,42 @@ let create ?metrics ?(start_execs = 0) ~tool ~contract ~dir
   }
 
 let of_config ?metrics ?start_execs ~tool ~contract (config : Mufuzz.Config.t) =
-  match config.checkpoint_dir with
-  | None -> None
-  | Some dir -> Some (create ?metrics ?start_execs ~tool ~contract ~dir config)
+  Option.map
+    (fun dir ->
+      create ?metrics ?start_execs ~tool ~contract
+        (Store.create ~dir ~keep:config.checkpoint_keep)
+        config)
+    config.checkpoint_dir
 
-let on_safe_point t ~final ~bus ~execs snapshot =
-  let now = Unix.gettimeofday () in
+let save t ~bus ~execs snapshot =
+  match
+    Store.save t.store
+      {
+        Checkpoint.tool = t.tool;
+        config = t.config;
+        contract = t.contract;
+        snapshot;
+      }
+  with
+  | path ->
+    t.last_execs <- execs;
+    t.last_time <- Unix.gettimeofday ();
+    Option.iter Telemetry.Metrics.incr t.m_written;
+    Telemetry.Bus.emit bus (Telemetry.Event.Checkpoint_written { execs; path });
+    Some path
+  | exception Sys_error msg ->
+    (* a full disk must not kill the campaign it was protecting *)
+    Log.warn (fun m ->
+        m "%s: checkpoint write failed: %s" (Store.dir t.store) msg);
+    None
+
+let hook t ~final ~bus ~execs snapshot =
   let due =
     (* never rewrite the state we just loaded or already persisted *)
     execs > t.last_execs
     && (final
        || (t.every_execs > 0 && execs - t.last_execs >= t.every_execs)
-       || (t.every_seconds > 0.0 && now -. t.last_time >= t.every_seconds))
+       || t.every_seconds > 0.0
+          && Unix.gettimeofday () -. t.last_time >= t.every_seconds)
   in
-  if due then
-    match
-      Store.save t.store
-        {
-          Checkpoint.tool = t.tool;
-          config = t.config;
-          contract = t.contract;
-          snapshot = snapshot ();
-        }
-    with
-    | path ->
-      t.last_execs <- execs;
-      t.last_time <- now;
-      Option.iter Telemetry.Metrics.incr t.m_written;
-      Telemetry.Bus.emit bus
-        (Telemetry.Event.Checkpoint_written { execs; path })
-    | exception Sys_error msg ->
-      (* a full disk must not kill the campaign it was protecting *)
-      Log.warn (fun m -> m "checkpoint write failed: %s" msg)
-
-let hook t = on_safe_point t
+  if due then ignore (save t ~bus ~execs (snapshot ()))

@@ -17,13 +17,14 @@ val create :
   ?start_execs:int ->
   tool:string ->
   contract:Minisol.Contract.t ->
-  dir:string ->
+  Store.t ->
   Mufuzz.Config.t ->
   t
-(** Cadence and rotation come from the config's [checkpoint_*] fields.
-    [start_execs] (default 0) is the execution count already persisted
-    — pass the snapshot's count when resuming so the first safe point
-    does not rewrite the checkpoint just loaded. *)
+(** Writes into the given store; cadence comes from the config's
+    [checkpoint_every_*] fields. [start_execs] (default 0) is the
+    execution count already persisted — pass the snapshot's count when
+    resuming so the first safe point does not rewrite the checkpoint
+    just loaded. *)
 
 val of_config :
   ?metrics:Telemetry.Metrics.t ->
@@ -32,15 +33,19 @@ val of_config :
   contract:Minisol.Contract.t ->
   Mufuzz.Config.t ->
   t option
-(** [None] when [config.checkpoint_dir] is unset (persistence off). *)
+(** {!create} over a store at [config.checkpoint_dir] keeping
+    [config.checkpoint_keep] files; [None] when [checkpoint_dir] is
+    unset (persistence off). *)
 
-val on_safe_point :
+val save :
   t ->
-  final:bool ->
   bus:Telemetry.Bus.t ->
   execs:int ->
-  (unit -> Mufuzz.Campaign.snapshot) ->
-  unit
+  Mufuzz.Campaign.snapshot ->
+  string option
+(** Write a checkpoint now, whatever the cadence, and return its path;
+    [None] when the write failed (logged). The serve engine's slice
+    checkpoints go through here. *)
 
 val hook :
   t ->
@@ -49,5 +54,6 @@ val hook :
   execs:int ->
   (unit -> Mufuzz.Campaign.snapshot) ->
   unit
-(** [hook t] partially applied is exactly the shape
+(** The cadence: {!save} when due, forcing the snapshot thunk only
+    then. [hook t] partially applied is exactly the shape
     [Campaign.run ~on_safe_point] expects. *)

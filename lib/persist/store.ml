@@ -18,15 +18,8 @@ let is_checkpoint_file name =
        (fun c -> c >= '0' && c <= '9')
        (String.sub name lp (String.length name - lp - ls))
 
-let rec mkdirs dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdirs parent;
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  end
-
 let create ~dir ~keep =
-  mkdirs dir;
+  Util.Fileio.mkdirs dir;
   { dir; keep = max 1 keep }
 
 (* Campaign ids double as directory names, so the alphabet is locked

@@ -42,7 +42,7 @@ type campaign = {
   profile : Baselines.Fuzzers.profile;
   config : Mufuzz.Config.t;  (* effective (profile-applied) *)
   dir : string;
-  store : Persist.Store.t;
+  ckpt : Persist.Driver.t;  (* slice checkpoints, under [dir] *)
   mutable phase : phase;
   mutable resume : (string * Mufuzz.Campaign.snapshot) option;
   mutable execs : int;
@@ -77,13 +77,6 @@ type t = {
 let state_dir t = t.state_dir
 
 let metrics t = t.metrics
-
-let rec mkdirs dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdirs parent;
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  end
 
 (* ---------------- service gauges ---------------- *)
 
@@ -194,7 +187,9 @@ let add_campaign t ~id ~priority ~contract ~profile ~config =
       profile;
       config;
       dir = Persist.Store.dir store;
-      store;
+      ckpt =
+        Persist.Driver.create ~metrics:t.metrics ~tool:profile.name ~contract
+          store config;
       phase = Queued;
       resume = None;
       execs = 0;
@@ -326,7 +321,7 @@ let scan t =
 
 let create ?(slice_execs = 500) ?(checkpoint_keep = 3) ?(jobs = 1) ~state_dir
     ~metrics () =
-  mkdirs state_dir;
+  Util.Fileio.mkdirs state_dir;
   let t =
     {
       state_dir;
@@ -400,33 +395,17 @@ let complete t c (report : Mufuzz.Report.t) =
    with Sys_error msg ->
      Log.warn (fun m -> m "%s: report write failed: %s" c.id msg));
   (* shrink each finding's witness into a self-contained repro artifact *)
-  if report.witness_seeds <> [] then begin
-    mkdirs (artifacts_dir c);
-    let target = Triage.Shrink.target_of_config c.config c.contract in
+  if report.witness_seeds <> [] then
     List.iter
-      (fun ((f : Oracles.Oracle.finding), seed) ->
-        try
-          let r = Triage.Shrink.shrink ~target f seed in
-          match Triage.Shrink.reraise ~target f r.seed with
-          | None ->
-            Log.warn (fun m ->
-                m "%s: finding [%s] pc=%d did not reproduce; no artifact"
-                  c.id (Oracles.Oracle.class_to_string f.cls) f.pc)
-          | Some finding ->
-            let a =
-              Triage.Artifact.make ~contract:c.contract
-                ~gas_per_tx:c.config.gas_per_tx ~n_senders:c.config.n_senders
-                ~attacker:c.config.attacker_enabled ~finding ~seed:r.seed
-            in
-            Triage.Artifact.save
-              (Filename.concat (artifacts_dir c) (Triage.Artifact.file_name a))
-              a;
-            c.artifact_count <- c.artifact_count + 1
-        with e ->
+      (fun ((f : Oracles.Oracle.finding), outcome) ->
+        match outcome with
+        | Ok _ -> c.artifact_count <- c.artifact_count + 1
+        | Error e ->
           Log.warn (fun m ->
-              m "%s: artifact generation failed: %s" c.id (Printexc.to_string e)))
-      report.witness_seeds
-  end;
+              m "%s: finding [%s] pc=%d %s; no artifact" c.id
+                (Oracles.Oracle.class_to_string f.cls) f.pc e))
+      (Triage.Repro.save_witnesses ~dir:(artifacts_dir c) ~config:c.config
+         ~contract:c.contract report.witness_seeds);
   c.phase <- Completed;
   Log.info (fun m ->
       m "%s: completed (%d execs, %d findings, %s)" c.id c.execs c.findings
@@ -454,25 +433,12 @@ let run_slice t c =
   let hook ~final ~bus ~execs thunk =
     if (not final) && execs >= slice_end then begin
       let snapshot = thunk () in
-      let ckpt =
-        {
-          Persist.Checkpoint.tool = c.profile.name;
-          config = c.config;
-          contract = c.contract;
-          snapshot;
-        }
-      in
+      (* resume in memory even when the disk is full; only the
+         crash-safety of this campaign degrades *)
       let path =
-        try
-          let path = Persist.Store.save c.store ckpt in
-          Telemetry.Bus.emit bus
-            (Telemetry.Event.Checkpoint_written { execs; path });
-          path
-        with Sys_error msg ->
-          (* resume in memory even when the disk is full; only the
-             crash-safety of this campaign degrades *)
-          Log.warn (fun m -> m "%s: checkpoint write failed: %s" c.id msg);
-          Filename.concat c.dir "(unsaved)"
+        Option.value
+          (Persist.Driver.save c.ckpt ~bus ~execs snapshot)
+          ~default:(Filename.concat c.dir "(unsaved)")
       in
       grabbed := Some (path, snapshot);
       raise Mufuzz.Campaign.Preempt

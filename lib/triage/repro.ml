@@ -65,3 +65,30 @@ let shrink ?max_execs (a : Artifact.t) =
         ( Artifact.make ~contract:a.contract ~gas_per_tx:a.gas_per_tx
             ~n_senders:a.n_senders ~attacker:a.attacker ~finding ~seed:r.seed,
           r.execs )
+
+type written = { path : string; txs : int; execs : int }
+
+let save_witnesses ~dir ~config ~contract witnesses =
+  Util.Fileio.mkdirs dir;
+  let target = Shrink.target_of_config config contract in
+  List.map
+    (fun ((f : Oracles.Oracle.finding), seed) ->
+      let outcome =
+        try
+          let r = Shrink.shrink ~target f seed in
+          match Shrink.reraise ~target f r.seed with
+          | None -> Error "did not reproduce"
+          | Some finding ->
+            let a =
+              Artifact.make ~contract ~gas_per_tx:config.Mufuzz.Config.gas_per_tx
+                ~n_senders:config.n_senders ~attacker:config.attacker_enabled
+                ~finding ~seed:r.seed
+            in
+            let path = Filename.concat dir (Artifact.file_name a) in
+            Artifact.save path a;
+            Ok { path; txs = List.length r.seed.txs; execs = r.execs }
+        with e ->
+          Error ("artifact generation failed: " ^ Printexc.to_string e)
+      in
+      (f, outcome))
+    witnesses

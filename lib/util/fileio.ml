@@ -25,6 +25,13 @@ let with_atomic_out path f =
 let write_atomic path content =
   with_atomic_out path (fun oc -> output_string oc content)
 
+let rec mkdirs dir =
+  if not (Sys.file_exists dir) then begin
+    let parent = Filename.dirname dir in
+    if parent <> dir then mkdirs parent;
+    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
+  end
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect

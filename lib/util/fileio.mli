@@ -25,6 +25,11 @@ val write_atomic : string -> string -> unit
 (** [write_atomic path content] — {!with_atomic_out} writing one
     string. *)
 
+val mkdirs : string -> unit
+(** [mkdirs dir] creates [dir] and any missing parents (mode [0o755]);
+    an existing directory, or one a concurrent process creates first,
+    is not an error. *)
+
 val read_file : string -> string
 (** [read_file path] is the whole (binary) content of [path]. *)
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Fleet crash-safety smoke test.
 #
-# Runs the same sharded corpus through `mufuzz fleet run` three times:
+# Runs the same sharded corpus through `mufuzz fleet run` four times:
 #
 #   1. reference     — uninterrupted, 2 local workers
 #   2. coordinator   — SIGKILL the coordinator mid-run, then kill the
@@ -9,9 +9,11 @@
 #                      arguments
 #   3. worker        — SIGKILL one worker mid-run and let the
 #                      coordinator reassign its shard lease
+#   4. daemon        — daemon dispatch: two `mufuzz serve` daemons, one
+#                      worker each, the campaigns run in the daemons
 #
 # and asserts that every run produces byte-identical aggregate CSVs
-# and fleet summaries. Exits nonzero on any mismatch. $WORK (default:
+# and fleet summaries, and that both daemons ran campaigns. Exits nonzero on any mismatch. $WORK (default:
 # a fresh mktemp dir) is left behind on failure for artifact upload.
 set -euo pipefail
 
@@ -104,15 +106,50 @@ if [ "${reassigned:-0}" -lt 1 ]; then
   exit 1
 fi
 
+say "daemon dispatch (two serve daemons)"
+daemons=()
+stop_daemons() {
+  for pid in "${daemons[@]}"; do kill "$pid" 2>/dev/null || true; done
+}
+trap stop_daemons EXIT
+for d in daemon-a daemon-b; do
+  "$CLI" serve --state "$d" > "$d.log" 2>&1 &
+  daemons+=($!)
+done
+for d in daemon-a daemon-b; do
+  for _ in $(seq 1 50); do
+    [ -S "$d/serve.sock" ] && break
+    sleep 0.2
+  done
+  test -S "$d/serve.sock"
+done
+run_fleet daemon-state daemon-csv \
+  --daemon daemon-a/serve.sock --daemon daemon-b/serve.sock
+for d in daemon-a daemon-b; do
+  "$CLI" client --socket "$d/serve.sock" '{"op":"shutdown"}' > /dev/null
+done
+for pid in "${daemons[@]}"; do wait "$pid"; done
+trap - EXIT
+for d in daemon-a daemon-b; do
+  n=$(find "$d" -mindepth 2 -maxdepth 2 -name report.json | wc -l)
+  if [ "$n" -lt 1 ]; then
+    echo "error: daemon $d completed no campaigns" >&2
+    exit 1
+  fi
+  echo "ok: $d completed $n campaigns"
+done
+
 say "compare aggregates"
 for f in fig5_small.csv fig5_large.csv fig6.csv findings.csv; do
   cmp ref-csv/"$f" kill-csv/"$f"
   cmp ref-csv/"$f" wkill-csv/"$f"
-  echo "ok: $f byte-identical across all three runs"
+  cmp ref-csv/"$f" daemon-csv/"$f"
+  echo "ok: $f byte-identical across all four runs"
 done
 cmp ref-state/fleet-summary.json kill-state/fleet-summary.json
 cmp ref-state/fleet-summary.json wkill-state/fleet-summary.json
-echo "ok: fleet-summary.json byte-identical across all three runs"
+cmp ref-state/fleet-summary.json daemon-state/fleet-summary.json
+echo "ok: fleet-summary.json byte-identical across all four runs"
 
 say "fleet smoke passed"
 rm -rf "$WORK"

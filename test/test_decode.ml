@@ -1,9 +1,11 @@
 (* Byte-mutation fuzzing of every top-level document decoder. Each
    decoder starts from a valid document; 1-8 byte flips, insertions,
-   deletions or truncations later it must return [Ok] or [Error] and
-   never raise, and any [Ok v] must re-encode to a document that
-   decodes to the same [v] (compared through the deterministic
-   encoder, since several values carry hash tables). *)
+   deletions, truncations or whitespace insertions between JSON tokens
+   later it must return [Ok] or [Error] and never raise, and any [Ok v]
+   must re-encode to a document that decodes to the same [v] (compared
+   through the deterministic encoder, since several values carry hash
+   tables). Whitespace keeps a document's meaning, so it is what lets
+   documents with content hashes (shards, artifacts) reach [Ok]. *)
 
 module J = Telemetry.Json
 
@@ -12,6 +14,7 @@ type mutation =
   | Insert of int * char
   | Delete of int
   | Truncate of int
+  | Space of int * char  (** token boundary (modulo their count), whitespace *)
 
 (* JSON's structural bytes, so insertions reach past the tokenizer *)
 let syntax_char =
@@ -27,6 +30,7 @@ let mutation_gen =
       (3, map2 (fun p c -> Insert (p, c)) pos (oneof [ char; syntax_char ]));
       (3, map (fun p -> Delete p) pos);
       (1, map (fun p -> Truncate p) pos);
+      (3, map2 (fun p c -> Space (p, c)) pos (oneofl [ ' '; '\t'; '\r'; '\n' ]));
     ]
 
 (* most runs mutate once, so a fair share of documents still decode and
@@ -40,14 +44,36 @@ let print_mutation = function
   | Insert (p, c) -> Printf.sprintf "insert@%d %C" p c
   | Delete p -> Printf.sprintf "delete@%d" p
   | Truncate p -> Printf.sprintf "truncate@%d" p
+  | Space (p, c) -> Printf.sprintf "space@boundary %d %C" p c
 
-(* positions wrap modulo the current length *)
+let insert s p c =
+  String.sub s 0 p ^ String.make 1 c ^ String.sub s p (String.length s - p)
+
+(* Offsets next to a structural character outside string literals: the
+   places JSON allows whitespace between tokens. *)
+let token_boundaries s =
+  let structural c = String.contains "{}[],:" c in
+  let acc = ref [] and in_string = ref false and escaped = ref false in
+  String.iteri
+    (fun i c ->
+      if !in_string then begin
+        if !escaped then escaped := false
+        else if c = '\\' then escaped := true
+        else if c = '"' then in_string := false
+      end
+      else if c = '"' then in_string := true
+      else if structural c then acc := (i + 1) :: i :: !acc)
+    s;
+  Array.of_list (List.sort_uniq compare !acc)
+
+(* positions wrap modulo the current length (or boundary count) *)
 let apply s m =
   let n = String.length s in
   match m with
-  | Insert (p, c) ->
-    let p = p mod (n + 1) in
-    String.sub s 0 p ^ String.make 1 c ^ String.sub s p (n - p)
+  | Insert (p, c) -> insert s (p mod (n + 1)) c
+  | Space (p, c) ->
+    let b = token_boundaries s in
+    if b = [||] then s else insert s b.(p mod Array.length b) c
   | _ when n = 0 -> s
   | Flip (p, b) ->
     let p = p mod n in

@@ -414,6 +414,128 @@ let worker_unreadable_progress () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "a directory was read as progress")
 
+(* ---------------- daemon dispatch ---------------- *)
+
+(* A scripted stand-in for [mufuzz serve]: it greets one client,
+   accepts [submits] submissions (each campaign completes at once with
+   a fixed report), and drops the connection on the next one. *)
+let fake_daemon ~path ~submits =
+  let module J = Telemetry.Json in
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind sock (Unix.ADDR_UNIX path);
+  Unix.listen sock 1;
+  Domain.spawn (fun () ->
+      let fd, _ = Unix.accept sock in
+      let ic = Unix.in_channel_of_descr fd in
+      let oc = Unix.out_channel_of_descr fd in
+      let reply line = output_string oc (line ^ "\n"); flush oc in
+      reply Serve.Protocol.greeting;
+      let report =
+        {|{"ok":true,"report":{"executions":40,"steps":900,"total_branch_sides":6,"covered_branches":4,"over_time":[{"execs":40,"covered":4}],"unique_findings":[]}}|}
+      in
+      let rec serve accepted =
+        match input_line ic with
+        | exception End_of_file -> ()
+        | line -> (
+          let op =
+            Result.to_option (J.of_string line)
+            |> Fun.flip Option.bind (J.member "op")
+            |> Fun.flip Option.bind J.string_value
+          in
+          match op with
+          | Some "submit" when accepted = submits -> ()
+          | Some "submit" ->
+            reply {|{"ok":true,"id":"c0001"}|};
+            serve (accepted + 1)
+          | Some "status" ->
+            reply {|{"ok":true,"state":"completed"}|};
+            serve accepted
+          | _ ->
+            reply report;
+            serve accepted)
+      in
+      serve 0;
+      Unix.close fd;
+      Unix.close sock)
+
+let daemon_lost_mid_shard () =
+  Util.Fileio.with_temp_dir ~prefix:"fleet-lost" (fun root ->
+      let corpus = Filename.concat root "corpus" in
+      tiny_corpus corpus;
+      let path = Filename.concat root "d.sock" in
+      (* both tools of the first contract complete, then the daemon goes
+         away on the second contract's first campaign *)
+      let daemon = fake_daemon ~path ~submits:2 in
+      let state = Filename.concat root "st" in
+      let result =
+        Fleet.Worker.run_shard ~daemon:(Serve.Client.Unix_socket path) ~state
+          ~corpus ~shard:0 ~config:tiny_config ()
+      in
+      Domain.join daemon;
+      (match result with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a lost daemon finished the shard");
+      let progress =
+        Util.Fileio.read_file
+          (Filename.concat
+             (Filename.concat state (Fleet.Worker.shard_dir_name 0))
+             Fleet.Worker.progress_file)
+      in
+      let module J = Telemetry.Json in
+      match J.of_string progress with
+      | Error e -> Alcotest.fail e
+      | Ok j ->
+        Alcotest.(check (option int)) "first contract recorded" (Some 1)
+          (Option.bind (J.member "done" j) J.to_int);
+        let failed =
+          match Option.bind (J.member "summary" j) (J.member "failed") with
+          | Some (J.List l) -> List.length l
+          | _ -> Alcotest.fail "progress summary has no failed list"
+        in
+        Alcotest.(check int) "no campaign failure recorded" 0 failed)
+
+let driver_unreachable_daemon () =
+  Util.Fileio.with_temp_dir ~prefix:"fleet-nodaemon" (fun root ->
+      let corpus = Filename.concat root "corpus" in
+      tiny_corpus corpus;
+      let state = Filename.concat root "st" in
+      let options =
+        {
+          (Fleet.Driver.default_options ~state ~corpus ~config:tiny_config
+             ~dispatch:
+               (Fleet.Driver.Daemons
+                  [ Serve.Client.Unix_socket (Filename.concat root "none.sock") ]))
+          with
+          worker_argv =
+            Some (fun ~shard:_ -> Alcotest.fail "spawned a worker for a dead daemon");
+        }
+      in
+      (match Fleet.Driver.run options with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "ran against an unreachable daemon");
+      (* resumable: the shard went back to pending, not to a lease *)
+      match Fleet.Ledger.load ~dir:state with
+      | Ok (Some l) ->
+        Alcotest.(check bool) "no shard leased" true
+          (Array.for_all (( = ) Fleet.Ledger.Pending) l.Fleet.Ledger.lg_states)
+      | Ok None -> Alcotest.fail "no ledger written"
+      | Error e -> Alcotest.fail e)
+
+let driver_unreadable_config () =
+  Util.Fileio.with_temp_dir ~prefix:"fleet-config" (fun root ->
+      let corpus = Filename.concat root "corpus" in
+      tiny_corpus corpus;
+      let state = Filename.concat root "st" in
+      Unix.mkdir state 0o755;
+      Unix.mkdir (Filename.concat state Fleet.Driver.config_file) 0o755;
+      match
+        Fleet.Driver.run
+          (Fleet.Driver.default_options ~state ~corpus ~config:tiny_config
+             ~dispatch:(Fleet.Driver.Processes 1))
+      with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a directory was read as the fleet config")
+
 (* ---------------- end-to-end: driver with in-process math --------- *)
 
 let driver_csvs () =
@@ -478,5 +600,14 @@ let suite =
           worker_records_failures;
         Alcotest.test_case "unreadable progress is an error" `Quick
           worker_unreadable_progress;
+      ] );
+    ( "fleet: driver",
+      [
+        Alcotest.test_case "a daemon lost mid-shard is not a campaign failure"
+          `Quick daemon_lost_mid_shard;
+        Alcotest.test_case "an unreachable daemon is a resumable error" `Quick
+          driver_unreachable_daemon;
+        Alcotest.test_case "an unreadable fleet config is an error" `Quick
+          driver_unreadable_config;
       ] );
   ]

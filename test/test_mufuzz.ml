@@ -610,68 +610,6 @@ let report_tests =
 
 let suite = suite @ [ ("mufuzz: report", report_tests) ]
 
-let minimize_tests =
-  [
-    unit "minimized witness still reproduces and is no longer" (fun () ->
-        let c = Minisol.Contract.compile Corpus.Examples.suicidal in
-        let config = { Mufuzz.Config.default with max_executions = 500 } in
-        let r = Mufuzz.Campaign.run ~config c in
-        match
-          List.find_opt
-            (fun ((f : Oracles.Oracle.finding), _) -> f.cls = Oracles.Oracle.US)
-            r.witness_seeds
-        with
-        | None -> Alcotest.fail "expected a US witness"
-        | Some (f, seed) ->
-          let shrunk, _ =
-            Mufuzz.Minimize.minimize ~contract:c ~gas:config.gas_per_tx
-              ~n_senders:config.n_senders ~attacker:true f seed
-          in
-          Alcotest.(check bool) "reproduces" true
-            (Mufuzz.Minimize.reproduces ~contract:c ~gas:config.gas_per_tx
-               ~n_senders:config.n_senders ~attacker:true f shrunk);
-          Alcotest.(check bool) "not longer" true
-            (List.length shrunk.txs <= List.length seed.txs));
-    unit "minimal US witness is constructor + destroy" (fun () ->
-        let c = Minisol.Contract.compile Corpus.Examples.suicidal in
-        let config = { Mufuzz.Config.default with max_executions = 500 } in
-        let r = Mufuzz.Campaign.run ~config c in
-        match
-          List.find_opt
-            (fun ((f : Oracles.Oracle.finding), _) -> f.cls = Oracles.Oracle.US)
-            r.witness_seeds
-        with
-        | None -> Alcotest.fail "expected a US witness"
-        | Some (f, seed) ->
-          let shrunk, _ =
-            Mufuzz.Minimize.minimize ~contract:c ~gas:config.gas_per_tx
-              ~n_senders:config.n_senders ~attacker:true f seed
-          in
-          (* destroy() alone triggers it; constructor may or may not
-             survive shrinking depending on order, so allow 1-2 txs *)
-          Alcotest.(check bool) "at most 2 txs" true (List.length shrunk.txs <= 2);
-          Alcotest.(check bool) "contains destroy" true
-            (List.exists
-               (fun (tx : Mufuzz.Seed.tx) -> tx.fn.Abi.name = "destroy")
-               shrunk.txs));
-    unit "non-reproducing seed returned unchanged" (fun () ->
-        let c = Minisol.Contract.compile Corpus.Examples.crowdsale in
-        let rng = Util.Rng.create 3L in
-        let seed =
-          Mufuzz.Seed.of_sequence rng ~n_senders:3 c.abi [ "constructor"; "refund" ]
-        in
-        let fake = { Oracles.Oracle.cls = Oracles.Oracle.US; pc = 9999;
-                     tx_index = 0; detail = "" } in
-        let shrunk, _ =
-          Mufuzz.Minimize.minimize ~contract:c ~gas:1_000_000 ~n_senders:3
-            ~attacker:true fake seed
-        in
-        Alcotest.(check int) "unchanged" (List.length seed.txs)
-          (List.length shrunk.txs));
-  ]
-
-let suite = suite @ [ ("mufuzz: minimize", minimize_tests) ]
-
 let replay_tests =
   [
     unit "seed serialisation round trip" (fun () ->

@@ -362,6 +362,38 @@ let equivalence_tests =
         Alcotest.(check string) "reports equal"
           (J.to_string (normalized (Mufuzz.Report.to_json uninterrupted)))
           (J.to_string (normalized resumed)));
+    unit "the checkpoint metric counts every slice checkpoint" (fun () ->
+        let metrics = Telemetry.Metrics.create () in
+        let t =
+          Engine.create ~slice_execs:100 ~state_dir:(temp_dir ()) ~metrics ()
+        in
+        let id = submit_ok t (submission ~budget:500 Corpus.Examples.crowdsale) in
+        Engine.run_to_completion t;
+        let slices =
+          match field "slices" (Engine.status t id) with
+          | Some (J.Int n) -> n
+          | _ -> Alcotest.fail "no slice count"
+        in
+        let events =
+          Util.Fileio.read_file
+            (Filename.concat (Filename.concat (Engine.state_dir t) id)
+               "events.jsonl")
+        in
+        let written =
+          List.length
+            (List.filter
+               (fun line ->
+                 match Result.bind (J.of_string line) Telemetry.Event.of_json with
+                 | Ok (Telemetry.Event.Checkpoint_written _) -> true
+                 | _ -> false)
+               (String.split_on_char '\n' events))
+        in
+        Alcotest.(check int) "one checkpoint per preempted slice" (slices - 1)
+          written;
+        Alcotest.(check int) "mufuzz_checkpoint_written_total" written
+          (Telemetry.Metrics.value
+             (Telemetry.Metrics.counter metrics
+                "mufuzz_checkpoint_written_total")));
     unit "checkpoints live in the campaign's namespace" (fun () ->
         let t = engine ~slice_execs:100 () in
         let id = submit_ok t (submission ~budget:500 Corpus.Examples.crowdsale) in

@@ -198,6 +198,61 @@ let shrink_tests =
           Alcotest.(check int) "executions" 94 s.execs);
   ]
 
+(* The CLI's [fuzz --minimize] prints these shrinks. *)
+let minimize_tests =
+  let us_witness () =
+    let c = Minisol.Contract.compile Corpus.Examples.suicidal in
+    let config = { Mufuzz.Config.default with max_executions = 500 } in
+    let r = Mufuzz.Campaign.run ~config c in
+    match
+      List.find_opt (fun ((f : O.finding), _) -> f.cls = O.US) r.witness_seeds
+    with
+    | None -> Alcotest.fail "expected a US witness"
+    | Some (f, seed) ->
+      ( { Triage.Shrink.contract = c; gas = config.gas_per_tx;
+          n_senders = config.n_senders; attacker = true },
+        f, seed )
+  in
+  [
+    Alcotest.test_case "minimized witness still reproduces and is no longer"
+      `Quick (fun () ->
+        let target, f, seed = us_witness () in
+        let s = Triage.Shrink.shrink ~target f seed in
+        Alcotest.(check bool) "reproduces" true
+          (Triage.Shrink.reraise ~target f s.seed <> None);
+        Alcotest.(check bool) "not longer" true
+          (List.length s.seed.txs <= List.length seed.txs));
+    Alcotest.test_case "minimal US witness is constructor + destroy" `Quick
+      (fun () ->
+        let target, f, seed = us_witness () in
+        let s = Triage.Shrink.shrink ~target f seed in
+        (* destroy() alone triggers it; constructor may or may not
+           survive shrinking depending on order, so allow 1-2 txs *)
+        Alcotest.(check bool) "at most 2 txs" true (List.length s.seed.txs <= 2);
+        Alcotest.(check bool) "contains destroy" true
+          (List.exists
+             (fun (tx : Mufuzz.Seed.tx) -> tx.fn.Abi.name = "destroy")
+             s.seed.txs));
+    Alcotest.test_case "non-reproducing seed returned unchanged" `Quick
+      (fun () ->
+        let c = Minisol.Contract.compile Corpus.Examples.crowdsale in
+        let rng = Util.Rng.create 3L in
+        let seed =
+          Mufuzz.Seed.of_sequence rng ~n_senders:3 c.abi
+            [ "constructor"; "refund" ]
+        in
+        let fake = { O.cls = O.US; pc = 9999; tx_index = 0; detail = "" } in
+        let s =
+          Triage.Shrink.shrink
+            ~target:
+              { Triage.Shrink.contract = c; gas = 1_000_000; n_senders = 3;
+                attacker = true }
+            fake seed
+        in
+        Alcotest.(check int) "unchanged" (List.length seed.txs)
+          (List.length s.seed.txs));
+  ]
+
 (* ---------------- artifacts ---------------- *)
 
 let first_artifact () =
@@ -378,6 +433,7 @@ let suite =
     ("triage.key", key_tests);
     ("triage.occurrences", occurrence_tests);
     ("triage.shrink", shrink_tests);
+    ("triage.minimize", minimize_tests);
     ("triage.artifact", artifact_tests);
     ("triage.regressions", regression_tests);
     ("triage.report", report_tests);
