@@ -20,6 +20,11 @@ let is_vulnerable_event (e : Evm.Trace.event) =
   | Invalid_reached _ | Revert_reached _ | Reentrant_call _ | Log _ ->
     false
 
+let flip_vulnerable cfg ~pc ~taken =
+  match Cfg.branch_successor cfg pc ~taken:(not taken) with
+  | Some succ -> Cfg.reaches_vulnerable cfg succ
+  | None -> false
+
 let analyze_trace ?(params = default_params) cfg (trace : Evm.Trace.t) =
   (* Walk the path once; for each branch event record its prefix nesting
      count, then in a second pass check whether a vulnerable event follows
@@ -38,11 +43,7 @@ let analyze_trace ?(params = default_params) cfg (trace : Evm.Trace.t) =
       | Evm.Trace.Branch { pc; taken; _ } ->
         incr nested;
         let vulnerable = vulnerable_after.(i + 1) in
-        let flip_vulnerable =
-          match Cfg.branch_successor cfg pc ~taken:(not taken) with
-          | Some succ -> Cfg.reaches_vulnerable cfg succ
-          | None -> false
-        in
+        let flip_vulnerable = flip_vulnerable cfg ~pc ~taken in
         let weight =
           (params.nested_coeff *. float_of_int !nested)
           +. (if vulnerable || flip_vulnerable then params.vuln_bonus else 0.0)

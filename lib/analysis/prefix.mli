@@ -23,6 +23,15 @@ type params = {
 
 val default_params : params
 
+val is_vulnerable_event : Evm.Trace.event -> bool
+(** The events Algorithm 3 counts as a vulnerable instruction reached:
+    external calls, SELFDESTRUCT, block-state and ORIGIN uses, balance
+    comparisons, arithmetic overflows and outgoing value transfers. *)
+
+val flip_vulnerable : Cfg.t -> pc:int -> taken:bool -> bool
+(** Statically, the side [(pc, not taken)] can reach a vulnerable
+    instruction. *)
+
 val analyze_trace : ?params:params -> Cfg.t -> Evm.Trace.t -> weighted_branch list
 (** One entry per branch event of the trace, in path order. *)
 

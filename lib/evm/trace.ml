@@ -138,6 +138,3 @@ let branches t =
   List.filter_map
     (function Branch { pc; taken; _ } -> Some (pc, taken) | _ -> None)
     t.events
-
-let branch_events t =
-  List.filter (function Branch _ -> true | _ -> false) t.events

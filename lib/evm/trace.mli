@@ -132,5 +132,3 @@ val succeeded : t -> bool
 val branches : t -> (int * bool) list
 (** Branch identities [(pc, taken)] in order — the paper's basic-block
     transition coverage unit. *)
-
-val branch_events : t -> event list

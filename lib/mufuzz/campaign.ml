@@ -17,93 +17,40 @@ type entry = {
 let derive_sequence (contract : Minisol.Contract.t) =
   Analysis.Sequence.derive (Analysis.Statevars.analyze contract.ast)
 
-(* Branches whose within-transaction ordinal is >= 2 — the paper's
-   "nested branch" (at least two enclosing conditional statements). *)
-let nested_hits_of_results (results : Executor.tx_result list) =
-  List.concat_map
-    (fun (r : Executor.tx_result) ->
-      let _, acc =
-        List.fold_left
-          (fun (ord, acc) ev ->
-            match ev with
-            | Evm.Trace.Branch { pc; taken; _ } ->
-              (ord + 1, if ord + 1 >= 2 then (pc, taken) :: acc else acc)
-            | _ -> (ord, acc))
-          (0, []) r.trace.events
-      in
-      acc)
-    results
-  |> List.sort_uniq compare
-
-let path_of_results (results : Executor.tx_result list) =
-  List.concat_map
-    (fun (r : Executor.tx_result) -> Evm.Trace.branches r.trace)
-    results
-  |> List.sort_uniq compare
-
-(* Best distance toward every frontier side the run visits, in one pass
-   over its branch events: an event that went [taken] at [pc] is a visit
-   toward [(pc, not taken)], which counts while that side is uncovered
-   and its twin covered. Sorted by side; among equal distances the
-   earlier visit wins. Distances are finite, so this flat fold agrees
-   with a per-trace minimum followed by a minimum across traces. *)
-let frontier_dists_of_results coverage (results : Executor.tx_result list) =
-  let best = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Executor.tx_result) ->
-      List.iter
-        (function
-          | Evm.Trace.Branch { pc; taken; dist_to_flip; _ } ->
-            let flip = (pc, not taken) in
-            if
-              (not (Coverage.is_covered coverage flip))
-              && Coverage.is_covered coverage (pc, taken)
-            then begin
-              match Hashtbl.find_opt best flip with
-              | Some d when d <= dist_to_flip -> ()
-              | _ -> Hashtbl.replace best flip dist_to_flip
-            end
-          | _ -> ())
-        r.trace.events)
-    results;
-  Hashtbl.fold (fun br d acc -> (br, d) :: acc) best []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 (* Algorithm-2 probe verdict: did the mutant still hit one of the
    seed's nested branches, or get closer to a frontier side than the
    seed's baseline distance? Apply the baselines once per mask run: the
-   baseline table is built then, and each probe is one pass over its
-   branch events. *)
+   baseline tables are built then, and each probe reads its run's
+   summary, one step per distinct side. *)
 let mask_feedback ~baseline_nested ~baseline_dists =
+  let module S = Branch_summary in
+  let nested = S.Tbl.create 16 in
+  List.iter (fun (pc, taken) -> S.Tbl.replace nested (S.side pc taken) ()) baseline_nested;
   (* a side listed twice is beaten by anything below its larger baseline *)
-  let base = Hashtbl.create 16 in
+  let base = S.Tbl.create 16 in
   List.iter
-    (fun (br, d) ->
-      match Hashtbl.find_opt base br with
+    (fun ((pc, taken), d) ->
+      let k = S.side pc taken in
+      match S.Tbl.find_opt base k with
       | Some d' when d' >= d -> ()
-      | _ -> Hashtbl.replace base br d)
+      | _ -> S.Tbl.replace base k d)
     baseline_dists;
-  fun (run : Executor.run) ->
-    let hits_nested =
-      baseline_nested <> []
-      && List.exists
-           (fun br -> List.mem br baseline_nested)
-           (nested_hits_of_results run.tx_results)
+  fun (s : S.t) ->
+    let n = Array.length s.keys in
+    let rec hits_nested i =
+      i < n && ((s.nested.(i) && S.Tbl.mem nested s.keys.(i)) || hits_nested (i + 1))
     in
-    let distance_decreased =
-      Hashtbl.length base > 0
-      && List.exists
-           (fun (r : Executor.tx_result) ->
-             List.exists
-               (function
-                 | Evm.Trace.Branch { pc; taken; dist_to_flip; _ } -> (
-                   match Hashtbl.find_opt base (pc, not taken) with
-                   | Some b -> dist_to_flip < b
-                   | None -> false)
-                 | _ -> false)
-               r.trace.events)
-           run.tx_results
+    (* a side's smallest distance beats the baseline iff one of its
+       visits does *)
+    let rec closer i =
+      i < n
+      && ((match S.Tbl.find_opt base (s.keys.(i) lxor 1) with
+          | Some b -> s.dists.(i) < b
+          | None -> false)
+         || closer (i + 1))
     in
+    let hits_nested = S.Tbl.length nested > 0 && hits_nested 0 in
+    let distance_decreased = S.Tbl.length base > 0 && closer 0 in
     { Mask.hits_nested; distance_decreased }
 
 (* Triage identity of one alarm occurrence: the call path is the
@@ -287,12 +234,12 @@ let total_sides_of_cfg cfg = 2 * List.length (Analysis.Cfg.branch_points cfg)
 (* Branch sides a run is about to cover for the first time — computed
    BEFORE folding the run into [coverage], and only when someone is
    listening. *)
-let pending_new_sides bus coverage results =
+let pending_new_sides bus coverage summary =
   if not (Telemetry.Bus.enabled bus) then []
   else
     List.filter
       (fun br -> not (Coverage.is_covered coverage br))
-      (path_of_results results)
+      (Branch_summary.path summary)
 
 let emit_new_sides bus coverage sides =
   List.iter
@@ -432,19 +379,14 @@ let mutate_sequence ctx rng (seed : Seed.t) =
 (* Count a run's visits to still-uncovered branch flip sides. The table
    drives the prediction trigger: once a frontier side has been reached
    [predict_attempts] times without flipping, the solver fires for it. *)
-let note_flip_attempts ~coverage attempts (results : Executor.tx_result list) =
-  List.iter
-    (fun (r : Executor.tx_result) ->
-      List.iter
-        (function
-          | Evm.Trace.Branch { pc; taken; _ } ->
-            let other = (pc, not taken) in
-            if not (Coverage.is_covered coverage other) then
-              Hashtbl.replace attempts other
-                (1 + Option.value ~default:0 (Hashtbl.find_opt attempts other))
-          | _ -> ())
-        r.trace.Evm.Trace.events)
-    results
+let note_flip_attempts ~coverage attempts (s : Branch_summary.t) =
+  Array.iteri
+    (fun i k ->
+      let other = Branch_summary.branch (k lxor 1) in
+      if not (Coverage.is_covered coverage other) then
+        Hashtbl.replace attempts other
+          (s.hits.(i) + Option.value ~default:0 (Hashtbl.find_opt attempts other)))
+    s.keys
 
 (* The comparison site guarding frontier side [(pc, want)] in a replay
    that reached its other side: the solver's target, tagged with the
@@ -542,6 +484,7 @@ type state = {
   rng : Util.Rng.t;
   start_time : float;  (* shifted back by the time spent before a resume *)
   xctxs : Executor.ctx array;  (* one per worker domain; one when sequential *)
+  summarizer : Branch_summary.builder;  (* the coordinator's *)
   on_safe_point :
     (final:bool -> bus:Telemetry.Bus.t -> execs:int -> (unit -> snapshot) -> unit)
     option;
@@ -563,6 +506,14 @@ type state = {
   mutable rng_counter : int;  (* worker streams dispatched *)
   mutable over_time : Report.checkpoint list;  (* newest first *)
 }
+
+(* Summaries carry Algorithm-3 weights only when dynamic energy reads
+   them. *)
+let summary_builder ctx =
+  let config = ctx.x_config in
+  Branch_summary.builder
+    ?weigh:(if config.dynamic_energy then Some config.prefix_params else None)
+    ctx.x_cfg
 
 let init_state ?resume ?on_safe_point ~jobs ~bus ~metrics ctx =
   let config = ctx.x_config in
@@ -602,6 +553,7 @@ let init_state ?resume ?on_safe_point ~jobs ~bus ~metrics ctx =
           (Util.Rng.create config.rng_seed);
       start_time;
       xctxs;
+      summarizer = summary_builder ctx;
       on_safe_point;
       coverage = restored (fun s -> Coverage.copy s.sn_coverage) (Coverage.create ());
       findings_tbl = Hashtbl.create 16;
@@ -717,22 +669,8 @@ let until_preempted body =
 
 (* ---------------- the coordinator fold ---------------- *)
 
-let record_coverage coverage (results : Executor.tx_result list) =
-  List.fold_left
-    (fun fresh (r : Executor.tx_result) -> Coverage.record coverage r.trace || fresh)
-    false results
-
-(* pre-fuzz / continuous branch weighting (Algorithm 3) of a run that
-   covered something new *)
-let prefix_weights ctx (results : Executor.tx_result list) =
-  List.concat_map
-    (fun (r : Executor.tx_result) ->
-      List.map
-        (fun (wb : Analysis.Prefix.weighted_branch) -> ((wb.pc, wb.taken), wb.weight))
-        (Analysis.Prefix.analyze_trace ~params:ctx.x_config.prefix_params ctx.x_cfg
-           r.trace))
-    results
-
+(* Fold a fresh run's Algorithm-3 weights in, keeping each side's
+   maximum. *)
 let merge_weights st ws =
   Option.iter
     (fun tbl ->
@@ -768,7 +706,8 @@ let note_findings st seed fs =
 
 (* Fold one executed seed into every table: counters, global coverage,
    flip attempts, findings, Algorithm-3 weights and the growth curve.
-   Returns whether the run covered a new branch side. *)
+   Returns the run's branch summary and whether it covered a new branch
+   side. *)
 let observe st ~worker seed (run : Executor.run) =
   let config = st.ctx.x_config in
   st.execs <- st.execs + 1;
@@ -776,12 +715,12 @@ let observe st ~worker seed (run : Executor.run) =
      report total survives checkpoint/resume *)
   st.steps <- st.steps + run.logical_steps;
   Telemetry.Metrics.incr st.meters.m_execs;
-  let new_sides = pending_new_sides st.bus st.coverage run.tx_results in
-  let fresh = record_coverage st.coverage run.tx_results in
+  let summary = Branch_summary.summarize st.summarizer run.tx_results in
+  let new_sides = pending_new_sides st.bus st.coverage summary in
+  let fresh = Coverage.record_run st.coverage summary in
   Telemetry.Bus.emit st.bus (Telemetry.Event.Exec_completed { worker; fresh });
   emit_new_sides st.bus st.coverage new_sides;
-  if config.predict then
-    note_flip_attempts ~coverage:st.coverage st.attempts run.tx_results;
+  if config.predict then note_flip_attempts ~coverage:st.coverage st.attempts summary;
   if fresh then begin
     Telemetry.Metrics.set st.meters.m_covered
       (float_of_int (Coverage.covered_count st.coverage));
@@ -790,13 +729,12 @@ let observe st ~worker seed (run : Executor.run) =
   end;
   note_findings st seed (Executor.inspect ~static:st.ctx.x_static run);
   if fresh && Option.is_some st.weights then
-    merge_weights st (prefix_weights st.ctx run.tx_results);
+    merge_weights st (Branch_summary.weighted_sides summary);
   checkpoint st;
-  fresh
+  (summary, fresh)
 
 let exec_on_coordinator st seed =
-  let run = Executor.run_in_ctx st.xctxs.(0) seed in
-  (run, observe st ~worker:0 seed run)
+  observe st ~worker:0 seed (Executor.run_in_ctx st.xctxs.(0) seed)
 
 (* ---------------- the seed pool ---------------- *)
 
@@ -818,23 +756,25 @@ let note_entry st e =
       | _ -> Hashtbl.replace st.best br (d, e))
     e.frontier_dists
 
-let mk_entry seed results frontier_dists =
+(* the sorted side lists are built here, once per pool entry, not per
+   execution *)
+let mk_entry seed summary frontier_dists =
   {
     seed;
-    path = path_of_results results;
-    nested_hits = nested_hits_of_results results;
+    path = Branch_summary.path summary;
+    nested_hits = Branch_summary.nested_sides summary;
     frontier_dists;
     masks = Hashtbl.create 4;
   }
 
-let enqueue st seed results =
-  let e = mk_entry seed results (frontier_dists_of_results st.coverage results) in
+let enqueue st seed summary =
+  let e = mk_entry seed summary (Coverage.frontier_dists st.coverage summary) in
   queue_add st e;
   note_entry st e
 
 let enqueue_run st seed =
-  let run, _ = exec_on_coordinator st seed in
-  enqueue st seed run.tx_results
+  let summary, _ = exec_on_coordinator st seed in
+  enqueue st seed summary
 
 (* some frontier side got closer than the best distance [best_of] knows *)
 let improves best_of dists =
@@ -846,12 +786,12 @@ let improves best_of dists =
    closer to an uncovered branch joins the selection pool even without
    new coverage — this is what lets mutation hill-climb strict
    conditions. *)
-let admit st seed results ~fresh =
-  if fresh then enqueue st seed results
+let admit st seed summary ~fresh =
+  if fresh then enqueue st seed summary
   else begin
-    let dists = frontier_dists_of_results st.coverage results in
+    let dists = Coverage.frontier_dists st.coverage summary in
     if improves (fun br -> Option.map fst (Hashtbl.find_opt st.best br)) dists
-    then note_entry st (mk_entry seed results dists)
+    then note_entry st (mk_entry seed summary dists)
   end
 
 (* Branch-distance-feedback selection (Algorithm 1 lines 8-13): most
@@ -917,7 +857,8 @@ let fold_proposal st ~worker br seed run =
   Telemetry.Metrics.incr st.meters.m_predict_proposed;
   st.predict_proposed <- st.predict_proposed + 1;
   let covered_before = Coverage.is_covered st.coverage br in
-  if observe st ~worker seed run then enqueue st seed run.Executor.tx_results;
+  let summary, fresh = observe st ~worker seed run in
+  if fresh then enqueue st seed summary;
   if (not covered_before) && Coverage.is_covered st.coverage br then begin
     Telemetry.Metrics.incr st.meters.m_predict_flipped;
     Log.info (fun m ->
@@ -976,7 +917,7 @@ let finish st ~preempted ~stalled parallel =
 
 type cand = {
   c_seed : Seed.t;
-  c_results : Executor.tx_result list;
+  c_summary : Branch_summary.t;
   c_fresh : bool;  (* fresh against the worker's snapshot, else improving *)
 }
 
@@ -985,9 +926,10 @@ type worker = {
   w_ctx : ctx;
   w_bus : Telemetry.Bus.t;
   w_xctx : Executor.ctx;
+  w_summarizer : Branch_summary.builder;  (* the worker domain's *)
   w_rng : Util.Rng.t;
   w_cov : Coverage.t;  (* round-start copy of the global map *)
-  w_best : (int * bool, float) Hashtbl.t;  (* round-start best distances *)
+  w_best : float Branch_summary.Tbl.t;  (* round-start best distances *)
   w_quota : int;
   w_mask_allowance : int;
   mutable w_execs : int;
@@ -1009,41 +951,40 @@ let observe_in_worker w seed (run : Executor.run) =
   let config = w.w_ctx.x_config in
   w.w_execs <- w.w_execs + 1;
   w.w_steps <- w.w_steps + run.logical_steps;
-  let fresh = record_coverage w.w_cov run.tx_results in
+  let summary = Branch_summary.summarize w.w_summarizer run.tx_results in
+  let fresh = Coverage.record_run w.w_cov summary in
   Telemetry.Bus.emit w.w_bus
     (Telemetry.Event.Exec_completed { worker = w.w_id; fresh });
-  if config.predict then
-    note_flip_attempts ~coverage:w.w_cov w.w_attempts run.tx_results;
+  if config.predict then note_flip_attempts ~coverage:w.w_cov w.w_attempts summary;
   w.w_findings <-
     List.rev_append
       (List.map (fun f -> (f, seed)) (Executor.inspect ~static:w.w_ctx.x_static run))
       w.w_findings;
   if config.dynamic_energy && fresh then
-    w.w_weights <- List.rev_append (prefix_weights w.w_ctx run.tx_results) w.w_weights;
-  fresh
+    w.w_weights <- List.rev_append (Branch_summary.weighted_sides summary) w.w_weights;
+  (summary, fresh)
 
 let exec lane seed =
   match lane with
   | Fold st -> exec_on_coordinator st seed
-  | Collect w ->
-    let run = Executor.run_in_ctx w.w_xctx seed in
-    (run, observe_in_worker w seed run)
+  | Collect w -> observe_in_worker w seed (Executor.run_in_ctx w.w_xctx seed)
 
-let keep lane seed (run : Executor.run) ~fresh =
+let keep lane seed summary ~fresh =
   match lane with
-  | Fold st -> admit st seed run.tx_results ~fresh
+  | Fold st -> admit st seed summary ~fresh
   | Collect w ->
     (* pre-filter against the round-start snapshot: global best
        distances only shrink, so nothing dropped here could have entered
        the pool *)
     if
       fresh
-      || improves (Hashtbl.find_opt w.w_best)
-           (frontier_dists_of_results w.w_cov run.tx_results)
+      || improves
+           (fun (pc, taken) ->
+             Branch_summary.Tbl.find_opt w.w_best (Branch_summary.side pc taken))
+           (Coverage.frontier_dists w.w_cov summary)
     then
-      w.w_cands <-
-        { c_seed = seed; c_results = run.tx_results; c_fresh = fresh }
-        :: w.w_cands
+      (* the summary, not the traces, crosses to the coordinator *)
+      w.w_cands <- { c_seed = seed; c_summary = summary; c_fresh = fresh } :: w.w_cands
 
 let has_budget = function
   | Fold st -> budget_left st
@@ -1104,8 +1045,8 @@ let get_mask lane (e : entry) tx_index =
             let probe =
               Seed.with_tx e.seed tx_index { tx with stream = p.probe_stream }
             in
-            let run, _ = exec lane probe in
-            Some (feedback run)
+            let summary, _ = exec lane probe in
+            Some (feedback summary)
           end)
         (Mask.probes pl)
     in
@@ -1155,8 +1096,8 @@ let fuzz_entry lane (entry, energy) =
         else candidate
       in
       if has_budget lane then begin
-        let run, fresh = exec lane candidate in
-        keep lane candidate run ~fresh;
+        let summary, fresh = exec lane candidate in
+        keep lane candidate summary ~fresh;
         remaining := Energy.update !remaining ~new_coverage:fresh
       end
       else remaining := 0
@@ -1178,7 +1119,8 @@ let predict_serial st =
       (fun br ->
         if budget_left st && not (Coverage.is_covered st.coverage br) then begin
           let fired_at, e = fire st br in
-          let replay, _ = exec_on_coordinator st e.seed in
+          let replay = Executor.run_in_ctx st.xctxs.(0) e.seed in
+          ignore (observe st ~worker:0 e.seed replay);
           (match comparison_for_branch replay.tx_results br with
           | None -> ()
           | Some (tx_index, cmp) ->
@@ -1253,6 +1195,7 @@ let run_parallel_on ~ctx ~bus ~metrics ?resume ?on_safe_point pool =
   let st = init_state ?resume ?on_safe_point ~jobs ~bus ~metrics ctx in
   (* the only part of the state worker tasks touch: their own context *)
   let xctxs = st.xctxs in
+  let summarizers = Array.init jobs (fun _ -> summary_builder ctx) in
   let stats0 = Pool.stats pool in
   let execs_by_worker = Array.make jobs 0 in
   let rounds = ref 0 in
@@ -1304,9 +1247,9 @@ let run_parallel_on ~ctx ~bus ~metrics ?resume ?on_safe_point pool =
   in
   let execute_seeds ~enqueue:enq seeds =
     List.iter
-      (fun (seed, worker, (run : Executor.run)) ->
-        ignore (observe st ~worker seed run);
-        if enq then enqueue st seed run.tx_results)
+      (fun (seed, worker, run) ->
+        let summary, _ = observe st ~worker seed run in
+        if enq then enqueue st seed summary)
       (run_across_pool seeds)
   in
   (* Prediction between rounds while the workers are parked at the
@@ -1393,8 +1336,11 @@ let run_parallel_on ~ctx ~bus ~metrics ?resume ?on_safe_point pool =
         (config.mask_budget_fraction *. float_of_int config.max_executions)
     in
     let mask_share = Stdlib.max 0 (mask_cap - st.mask_probes) / ntasks in
-    let best = Hashtbl.create (Stdlib.max 16 (Hashtbl.length st.best)) in
-    Hashtbl.iter (fun br (d, _) -> Hashtbl.replace best br d) st.best;
+    let best = Branch_summary.Tbl.create (Stdlib.max 16 (Hashtbl.length st.best)) in
+    Hashtbl.iter
+      (fun (pc, taken) (d, _) ->
+        Branch_summary.Tbl.replace best (Branch_summary.side pc taken) d)
+      st.best;
     let groups = Array.make ntasks [] in
     List.iteri
       (fun i p -> groups.(i mod ntasks) <- p :: groups.(i mod ntasks))
@@ -1409,7 +1355,7 @@ let run_parallel_on ~ctx ~bus ~metrics ?resume ?on_safe_point pool =
             let w =
               {
                 w_id = id; w_ctx = ctx; w_bus = bus; w_xctx = xctxs.(id);
-                w_rng = rng; w_cov = cov; w_best = best; w_quota = quota;
+                w_summarizer = summarizers.(id); w_rng = rng; w_cov = cov; w_best = best; w_quota = quota;
                 w_mask_allowance = mask_share; w_execs = 0; w_steps = 0;
                 w_probes = 0; w_cands = []; w_findings = []; w_weights = [];
                 w_attempts = Hashtbl.create 16;
@@ -1442,8 +1388,8 @@ let run_parallel_on ~ctx ~bus ~metrics ?resume ?on_safe_point pool =
             (* a fresh candidate that lost the freshness race (another
                domain covered the same side this round) is judged as
                improving-only *)
-            let fresh = record_coverage st.coverage c.c_results in
-            admit st c.c_seed c.c_results ~fresh:(fresh && c.c_fresh))
+            let fresh = Coverage.record_run st.coverage c.c_summary in
+            admit st c.c_seed c.c_summary ~fresh:(fresh && c.c_fresh))
           (List.rev w.w_cands);
         List.iter
           (fun (f, seed) -> note_findings st seed [ f ])

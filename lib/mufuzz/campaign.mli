@@ -175,20 +175,21 @@ val derive_sequence : Minisol.Contract.t -> string list
 (** The §IV-A sequence for a contract (constructor excluded), exposed
     for examples and tests. *)
 
-val frontier_dists_of_results :
-  Coverage.t -> Executor.tx_result list -> (Coverage.branch * float) list
-(** Per-execution feedback for the distance pool: every side of
-    {!Coverage.uncovered_frontier} the run visited, with the smallest
-    {!Coverage.trace_min_distance} over its traces (the earliest on
-    ties), sorted by side. Computed in one pass over the branch events;
-    exposed for the reference-model tests. *)
-
 val mask_feedback :
   baseline_nested:Coverage.branch list ->
   baseline_dists:(Coverage.branch * float) list ->
-  Executor.run ->
+  Branch_summary.t ->
   Mask.feedback
-(** Algorithm-2 probe verdict against a seed's baselines: the run still
-    hits a baseline nested branch, or some visit to a baseline side is
-    closer than that side's baseline distance. Partially apply the
+(** Algorithm-2 probe verdict against a seed's baselines: the run's
+    summary holds a baseline nested side, or some side of it is closer
+    to its twin than that twin's baseline distance. Partially apply the
     baselines once per mask run and reuse the closure across probes. *)
+
+val note_flip_attempts :
+  coverage:Coverage.t ->
+  (Coverage.branch, int) Hashtbl.t ->
+  Branch_summary.t ->
+  unit
+(** Count a run's visits toward still-uncovered sides (one per event on
+    the opposite side) into the attempts table that triggers input
+    prediction. *)

@@ -1,16 +1,12 @@
 type branch = int * bool
 
-(* A side [(pc, taken)] is keyed as [pc lsl 1 lor taken], so each lookup
-   hashes one int and the flip side is [k lxor 1]. Values are plain ints
-   and floats, so [copy] is a bucket copy. Keys are injective for
-   [0 <= pc <= max_key_pc]; traces only produce such pcs and [of_json]
-   rejects the rest. *)
-module Tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash k = k
-end)
+(* A side [(pc, taken)] is keyed as [pc lsl 1 lor taken] (the
+   [Branch_summary.side] key, restated here so it inlines), so each
+   lookup hashes one int and the flip side is [k lxor 1]. Values are
+   plain ints and floats, so [copy] is a bucket copy. Keys are injective
+   for [0 <= pc <= max_key_pc]; traces only produce such pcs and
+   [of_json] rejects the rest. *)
+module Tbl = Branch_summary.Tbl
 
 let max_key_pc = max_int asr 1
 let[@inline] key pc taken = (pc lsl 1) lor Bool.to_int taken
@@ -47,6 +43,35 @@ let record t (trace : Evm.Trace.t) =
         end
       | _ -> ())
     trace.events;
+  !fresh
+
+(* The per-run fold, from a summary: one hit update per distinct side,
+   then one distance update per side whose twin is still uncovered once
+   the whole run is in. A per-event fold reaches the same table: a twin
+   covered later in the run drops its distance when it is first hit and
+   takes none after, and the summary's first-minimum distance combines
+   with the stored one exactly as the events would one by one (the
+   interpreter's distances are finite, so the minimum is associative). *)
+let record_run t (s : Branch_summary.t) =
+  let fresh = ref false in
+  let n = Array.length s.keys in
+  for i = 0 to n - 1 do
+    let k = s.keys.(i) in
+    match Tbl.find_opt t.hits k with
+    | Some h -> Tbl.replace t.hits k (h + s.hits.(i))
+    | None ->
+      Tbl.replace t.hits k s.hits.(i);
+      fresh := true;
+      Tbl.remove t.dists k
+  done;
+  for i = 0 to n - 1 do
+    let flip = s.keys.(i) lxor 1 in
+    if not (Tbl.mem t.hits flip) then begin
+      match Tbl.find_opt t.dists flip with
+      | Some d when d <= s.dists.(i) -> ()
+      | _ -> Tbl.replace t.dists flip s.dists.(i)
+    end
+  done;
   !fresh
 
 let copy t = { hits = Tbl.copy t.hits; dists = Tbl.copy t.dists }
@@ -91,18 +116,17 @@ let uncovered_frontier t =
 
 let best_distance t (pc, taken) = Tbl.find_opt t.dists (key pc taken)
 
-let trace_min_distance (trace : Evm.Trace.t) (pc, want_side) =
-  List.fold_left
-    (fun acc ev ->
-      match ev with
-      | Evm.Trace.Branch { pc = p; taken; dist_to_flip; _ }
-        when p = pc && taken = not want_side -> begin
-        match acc with
-        | Some d when d <= dist_to_flip -> acc
-        | _ -> Some dist_to_flip
-      end
-      | _ -> acc)
-    None trace.events
+(* A visit to [k] is a visit toward [k lxor 1], which counts while that
+   side is uncovered and [k] itself covered. Sorting keys sorts sides. *)
+let frontier_dists t (s : Branch_summary.t) =
+  let acc = ref [] in
+  for i = Array.length s.keys - 1 downto 0 do
+    let k = s.keys.(i) in
+    if Tbl.mem t.hits k && not (Tbl.mem t.hits (k lxor 1)) then
+      acc := (k lxor 1, s.dists.(i)) :: !acc
+  done;
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc
+  |> List.map (fun (k, d) -> (branch_of_key k, d))
 
 let total_sides_known t =
   covered_count t + List.length (uncovered_frontier t)

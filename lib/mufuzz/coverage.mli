@@ -15,6 +15,11 @@ val create : unit -> t
 val record : t -> Evm.Trace.t -> bool
 (** Folds one trace in; returns [true] iff a new branch side was covered. *)
 
+val record_run : t -> Branch_summary.t -> bool
+(** Folds one execution in through its summary; leaves the table exactly
+    as {!record} over each of the run's traces in order would, and
+    returns the same freshness. *)
+
 val copy : t -> t
 (** Independent snapshot; the copy and the original evolve separately.
     Worker domains fuzz against a copy of the global map and the
@@ -41,9 +46,11 @@ val uncovered_frontier : t -> branch list
 val best_distance : t -> branch -> float option
 (** Smallest flip distance ever observed toward this uncovered side. *)
 
-val trace_min_distance : Evm.Trace.t -> branch -> float option
-(** Distance of one execution to the given uncovered side: min over the
-    trace's visits to that [pc] on the opposite side. *)
+val frontier_dists : t -> Branch_summary.t -> (branch * float) list
+(** One execution's distances toward this map's uncovered frontier:
+    each {!uncovered_frontier} side the run approached (visited its
+    covered twin), with the smallest distance over those visits (the
+    earliest on ties), sorted by side. *)
 
 val total_sides_known : t -> int
 (** Number of distinct (pc, side) identities known = covered + frontier. *)

@@ -9,6 +9,9 @@ let u256 = Alcotest.testable U.pp U.equal
 
 let unit name f = Alcotest.test_case name `Quick f
 
+let branch_events (t : Evm.Trace.t) =
+  List.filter (function Evm.Trace.Branch _ -> true | _ -> false) t.events
+
 let addr_a = U.of_int 0xA
 let addr_b = U.of_int 0xB
 
@@ -96,7 +99,7 @@ let control_flow =
             Op.PUSH (U.of_int 6); Op.JUMPI; Op.STOP; Op.JUMPDEST; Op.STOP ]
         in
         let _, trace = run prog in
-        match Evm.Trace.branch_events trace with
+        match branch_events trace with
         | [ Evm.Trace.Branch { taken; dist_to_flip; _ } ] ->
           Alcotest.(check bool) "taken" true taken;
           Alcotest.(check (float 0.001)) "distance" 2.0 dist_to_flip
@@ -108,7 +111,7 @@ let control_flow =
             Op.PUSH (U.of_int 6); Op.JUMPI; Op.STOP; Op.JUMPDEST; Op.STOP ]
         in
         let _, trace = run prog in
-        match Evm.Trace.branch_events trace with
+        match branch_events trace with
         | [ Evm.Trace.Branch { taken; dist_to_flip; _ } ] ->
           Alcotest.(check bool) "not taken" false taken;
           Alcotest.(check (float 0.001)) "distance" 3.0 dist_to_flip
@@ -121,7 +124,7 @@ let control_flow =
             Op.PUSH (U.of_int 7); Op.JUMPI; Op.STOP; Op.JUMPDEST; Op.STOP ]
         in
         let _, trace = run prog in
-        match Evm.Trace.branch_events trace with
+        match branch_events trace with
         | [ Evm.Trace.Branch { taken; dist_to_flip; _ } ] ->
           Alcotest.(check bool) "not taken" false taken;
           Alcotest.(check (float 0.001)) "distance" 2.0 dist_to_flip
@@ -251,7 +254,7 @@ let events =
             Op.PUSH (U.of_int 10); Op.JUMPI; Op.STOP; Op.JUMPDEST; Op.STOP ]
         in
         let _, trace = run ~data:(String.make 32 '\001') prog in
-        match Evm.Trace.branch_events trace with
+        match branch_events trace with
         | [ Evm.Trace.Branch { cond_taint; _ } ] ->
           Alcotest.(check bool) "calldata taint survives memory" true
             (Evm.Trace.Taint.has cond_taint Evm.Trace.Taint.calldata)

@@ -219,9 +219,57 @@ let campaign_tests =
             (report_digest ~drop r)))
     campaign_goldens
 
+(* The [New_branch_side] stream a listening campaign emits, pinned by
+   count and digest. The campaign computes these events only when a
+   sink is attached, so the report digests above never see them. *)
+let new_side_digest (config : Mufuzz.Config.t) contract =
+  let ring = Telemetry.Sink.ring ~capacity:100_000 in
+  ignore
+    (Mufuzz.Campaign.run_parallel ~config ~sinks:[ Telemetry.Sink.ring_sink ring ]
+       contract);
+  let sides =
+    List.filter_map
+      (fun (e : Telemetry.Event.t) ->
+        match e with
+        | New_branch_side _ -> Some (Telemetry.Json.to_string (Telemetry.Event.to_json e))
+        | _ -> None)
+      (Telemetry.Sink.ring_contents ring)
+  in
+  (List.length sides, Crypto.Keccak.hash_hex (String.concat "\n" sides))
+
+(* (name, contract, config, pinned event count, pinned digest) *)
+let new_side_goldens =
+  [
+    ( "crowdsale jobs=1",
+      crowdsale,
+      at400,
+      21,
+      "4d3dda037abc92a4bab3911e2a3a309d0097a323795ce01a6fbbb9f96582916e" );
+    ( "crowdsale jobs=2",
+      crowdsale,
+      { at400 with jobs = 2 },
+      22,
+      "564293df5fa70a404e8599b85e1f0215954cf6650bbef9ad93854af5ff0fa8b3" );
+    ( "strict_guard predict jobs=1",
+      strict_guard,
+      predict_config,
+      14,
+      "bafa6f441557286447441e4c884471b3c4972a999bc22b75757a4aacfae839c5" );
+  ]
+
+let telemetry_tests =
+  List.map
+    (fun (name, contract, config, count, digest) ->
+      Alcotest.test_case (name ^ " new-branch-side events match snapshot") `Quick
+        (fun () ->
+          let n, d = new_side_digest config (Lazy.force contract) in
+          Alcotest.(check (pair int string)) "count and digest" (count, digest) (n, d)))
+    new_side_goldens
+
 let suite =
   [
     ("golden.snapshots", snapshot_tests);
     ("golden.determinism", determinism_tests);
     ("golden.campaigns", campaign_tests);
+    ("golden.telemetry", telemetry_tests);
   ]

@@ -157,6 +157,16 @@ let mask_tests =
         Alcotest.(check int) "ten probes" 10 !count);
   ]
 
+(* Summaries outside a campaign: a CFG only sizes the builder and, when
+   weighing, answers the flip-side vulnerability query. *)
+let crowdsale_cfg =
+  lazy
+    (Analysis.Cfg.build
+       (Minisol.Contract.compile Corpus.Examples.crowdsale).Minisol.Contract.bytecode)
+
+let summary_builder ?weigh () =
+  Mufuzz.Branch_summary.builder ?weigh (Lazy.force crowdsale_cfg)
+
 let coverage_tests =
   [
     unit "record returns true only on new sides" (fun () ->
@@ -195,7 +205,7 @@ let coverage_tests =
         ignore (Mufuzz.Coverage.record cov (trace false));
         Alcotest.(check (list (pair int bool))) "no frontier" []
           (Mufuzz.Coverage.uncovered_frontier cov));
-    unit "trace_min_distance picks the smallest visit" (fun () ->
+    unit "frontier_dists picks the smallest visit" (fun () ->
         let trace =
           { Evm.Trace.status = Evm.Trace.Success;
             events =
@@ -203,18 +213,39 @@ let coverage_tests =
                 Evm.Trace.Branch { pc = 7; taken = true; dist_to_flip = 2.0; cond_taint = 0; cmp = None } ];
             return_data = ""; gas_used = 0; steps = 0 }
         in
-        Alcotest.(check (option (float 0.001))) "min" (Some 2.0)
-          (Mufuzz.Coverage.trace_min_distance trace (7, false)));
+        let cov = Mufuzz.Coverage.create () in
+        ignore (Mufuzz.Coverage.record cov trace);
+        let summary =
+          Mufuzz.Branch_summary.summarize (summary_builder ())
+            [ { Mufuzz.Executor.tx_index = 0; fn_name = "f"; success = true; trace } ]
+        in
+        Alcotest.(check (list (pair (pair int bool) (float 0.001)))) "min"
+          [ ((7, false), 2.0) ]
+          (Mufuzz.Coverage.frontier_dists cov summary));
   ]
 
 (* ---------------- frontier distances: reference model ----------------
 
-   [Campaign.frontier_dists_of_results] and [Campaign.mask_feedback]
-   compute branch distances in one pass over each trace. The reference
-   below is their previous definition: sort the whole frontier, then
-   rescan every trace once per frontier side. Both must agree exactly,
-   float bits and tie-breaking included, on random traces and coverage
-   maps. *)
+   [Coverage.frontier_dists] and [Campaign.mask_feedback] read branch
+   distances from a run's summary. The reference below is their first
+   definition: sort the whole frontier, then rescan every trace once per
+   frontier side. Both must agree exactly, float bits and tie-breaking
+   included, on random traces and coverage maps. *)
+
+(* Distance of one trace to an uncovered side: the smallest over its
+   visits to that [pc] on the opposite side, the earliest on ties. *)
+let trace_min_distance (trace : Evm.Trace.t) (pc, want_side) =
+  List.fold_left
+    (fun acc ev ->
+      match ev with
+      | Evm.Trace.Branch { pc = p; taken; dist_to_flip; _ }
+        when p = pc && taken = not want_side -> begin
+        match acc with
+        | Some d when d <= dist_to_flip -> acc
+        | _ -> Some dist_to_flip
+      end
+      | _ -> acc)
+    None trace.events
 
 let ref_frontier_dists cov (results : Mufuzz.Executor.tx_result list) =
   List.filter_map
@@ -222,7 +253,7 @@ let ref_frontier_dists cov (results : Mufuzz.Executor.tx_result list) =
       let best =
         List.fold_left
           (fun acc (r : Mufuzz.Executor.tx_result) ->
-            match Mufuzz.Coverage.trace_min_distance r.trace br with
+            match trace_min_distance r.trace br with
             | Some d -> (match acc with Some a when a <= d -> acc | _ -> Some d)
             | None -> acc)
           None results
@@ -259,7 +290,7 @@ let ref_mask_feedback ~baseline_nested ~baseline_dists
       (fun (br, base_d) ->
         List.exists
           (fun (r : Mufuzz.Executor.tx_result) ->
-            match Mufuzz.Coverage.trace_min_distance r.trace br with
+            match trace_min_distance r.trace br with
             | Some d -> d < base_d
             | None -> false)
           run.tx_results)
@@ -329,9 +360,12 @@ let print_frontier_case (history, probe, nested, dists) =
 (* exact float identity: 0.0 and -0.0 differ here, unlike under [=] *)
 let bits dists = List.map (fun (br, d) -> (br, Int64.bits_of_float d)) dists
 
+let summarize (run : Mufuzz.Executor.run) =
+  Mufuzz.Branch_summary.summarize (summary_builder ()) run.tx_results
+
 let frontier_model_tests =
   [
-    qprop "frontier_dists_of_results = frontier x trace_min_distance"
+    qprop "frontier_dists = frontier x trace_min_distance"
       ~count:1000 ~print:print_frontier_case gen_frontier_case
       (fun (history, probe, _, _) ->
         let cov = Mufuzz.Coverage.create () in
@@ -339,8 +373,9 @@ let frontier_model_tests =
         (* judge the probe both before and after recording it, as the
            worker pre-filter and the coordinator entry do *)
         let run = run_of (List.map trace_of probe) in
+        let summary = summarize run in
         let agree () =
-          bits (Mufuzz.Campaign.frontier_dists_of_results cov run.tx_results)
+          bits (Mufuzz.Coverage.frontier_dists cov summary)
           = bits (ref_frontier_dists cov run.tx_results)
         in
         let before = agree () in
@@ -359,7 +394,8 @@ let frontier_model_tests =
            arbitrary ones *)
         List.for_all
           (fun baseline_dists ->
-            Mufuzz.Campaign.mask_feedback ~baseline_nested ~baseline_dists run
+            Mufuzz.Campaign.mask_feedback ~baseline_nested ~baseline_dists
+              (summarize run)
             = ref_mask_feedback ~baseline_nested ~baseline_dists run)
           [ ref_frontier_dists cov seed_run.tx_results; random_dists ]);
     unit "frontier distances keep side order and the earliest tie" (fun () ->
@@ -367,18 +403,203 @@ let frontier_model_tests =
         let br pc taken d =
           Evm.Trace.Branch { pc; taken; dist_to_flip = d; cond_taint = 0; cmp = None }
         in
-        let results =
-          (run_of
-             [ trace_of [ br 9 true 4.0; br 3 false 0.0 ];
-               trace_of [ br 3 false (-0.0); br 9 true 1.5 ] ])
-            .tx_results
+        let run =
+          run_of
+            [ trace_of [ br 9 true 4.0; br 3 false 0.0 ];
+              trace_of [ br 3 false (-0.0); br 9 true 1.5 ] ]
         in
         List.iter
           (fun (r : Mufuzz.Executor.tx_result) -> ignore (Mufuzz.Coverage.record cov r.trace))
-          results;
+          run.tx_results;
         Alcotest.(check (list (pair (pair int bool) int64))) "sorted, first zero kept"
           [ ((3, true), Int64.bits_of_float 0.0); ((9, false), Int64.bits_of_float 1.5) ]
-          (bits (Mufuzz.Campaign.frontier_dists_of_results cov results)));
+          (bits (Mufuzz.Coverage.frontier_dists cov (summarize run))));
+  ]
+
+(* ---------------- branch summary: reference model ----------------
+
+   Every campaign consumer of a run's branch events reads its
+   [Branch_summary]. Random multi-transaction runs go through those
+   summary-fed consumers and through per-event references — each
+   consumer's definition before summaries, kept here — and every
+   observable must agree: the coverage checkpoint JSON and freshness,
+   frontier distance bits, the sorted path and nested lists, the mask
+   verdict, flip-attempt counts and the Algorithm-3 weights. One builder
+   serves a whole case, so its per-run reset is exercised too. *)
+
+let ref_path (results : Mufuzz.Executor.tx_result list) =
+  List.concat_map (fun (r : Mufuzz.Executor.tx_result) -> Evm.Trace.branches r.trace) results
+  |> List.sort_uniq compare
+
+let ref_note_flip_attempts cov attempts (results : Mufuzz.Executor.tx_result list) =
+  List.iter
+    (fun (r : Mufuzz.Executor.tx_result) ->
+      List.iter
+        (function
+          | Evm.Trace.Branch { pc; taken; _ } ->
+            let other = (pc, not taken) in
+            if not (Mufuzz.Coverage.is_covered cov other) then
+              Hashtbl.replace attempts other
+                (1 + Option.value ~default:0 (Hashtbl.find_opt attempts other))
+          | _ -> ())
+        r.trace.events)
+    results
+
+(* gen_event's pcs 0..5 moved onto real JUMPIs, so the flip-side
+   vulnerability bonus varies, with vulnerable and neutral non-branch
+   events between them *)
+let jumpis = lazy (Array.of_list (Analysis.Cfg.branch_points (Lazy.force crowdsale_cfg)))
+
+let onto_jumpis = function
+  | Evm.Trace.Branch { pc; taken; dist_to_flip; cond_taint; cmp } ->
+    let j = Lazy.force jumpis in
+    Evm.Trace.Branch
+      { pc = j.(pc mod Array.length j); taken; dist_to_flip; cond_taint; cmp }
+  | ev -> ev
+
+let gen_summary_run =
+  QCheck2.Gen.(
+    list_size (int_range 0 4)
+      (list_size (int_range 0 14)
+         (frequency
+            [
+              (8, map onto_jumpis gen_event);
+              (1, return (Evm.Trace.Arith_overflow { pc = 1; op = "ADD"; taint = 0 }));
+              (1, return (Evm.Trace.Log { pc = 2; topics = [] }));
+            ])))
+
+let weight_params =
+  [
+    Analysis.Prefix.default_params;
+    { Analysis.Prefix.nested_coeff = 0.0; vuln_bonus = 0.0 };
+    { Analysis.Prefix.nested_coeff = -0.5; vuln_bonus = -0.0 };
+  ]
+
+(* earlier runs, the judged run, baseline nested sides, baseline
+   distances, weight parameters *)
+let gen_summary_case =
+  QCheck2.Gen.(
+    let gen_side =
+      map (fun (pc, taken) -> (Lazy.force jumpis).(pc mod Array.length (Lazy.force jumpis)), taken) gen_branch
+    in
+    tup5
+      (list_size (int_range 0 3) gen_summary_run)
+      gen_summary_run
+      (list_size (int_range 0 4) gen_side)
+      (list_size (int_range 0 5)
+         (pair gen_side (oneofl [ 0.0; -0.0; 1.0; 2.0; 2.5; 3.0; 8.0; 1e31 ])))
+      (oneofl weight_params))
+
+let print_summary_case (history, probe, nested, dists, (p : Analysis.Prefix.params)) =
+  Printf.sprintf "%s\nhistory runs: %d\nparams: %h %h"
+    (print_frontier_case (List.concat history, probe, nested, dists))
+    (List.length history) p.nested_coeff p.vuln_bonus
+
+let sorted_bindings tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
+
+let summary_agrees (history, probe, baseline_nested, random_dists, params) =
+  let b = summary_builder ~weigh:params () in
+  let runs = List.map (fun evs -> run_of (List.map trace_of evs)) (history @ [ probe ]) in
+  let cov = Mufuzz.Coverage.create () and cov_ref = Mufuzz.Coverage.create () in
+  let attempts = Hashtbl.create 16 and attempts_ref = Hashtbl.create 16 in
+  let ok = ref true in
+  let check c = if not c then ok := false in
+  let last = List.length runs - 1 in
+  List.iteri
+    (fun i (run : Mufuzz.Executor.run) ->
+      let s = Mufuzz.Branch_summary.summarize b run.tx_results in
+      if i = last then begin
+        (* the judged run against the map before it is recorded *)
+        check
+          (bits (Mufuzz.Coverage.frontier_dists cov s)
+          = bits (ref_frontier_dists cov_ref run.tx_results));
+        let seed_dists =
+          ref_frontier_dists cov_ref (List.concat_map (fun (r : Mufuzz.Executor.run) -> r.tx_results) runs)
+        in
+        List.iter
+          (fun baseline_dists ->
+            check
+              (Mufuzz.Campaign.mask_feedback ~baseline_nested ~baseline_dists s
+              = ref_mask_feedback ~baseline_nested ~baseline_dists run))
+          [ seed_dists; random_dists ];
+        check (Mufuzz.Branch_summary.path s = ref_path run.tx_results);
+        check (Mufuzz.Branch_summary.nested_sides s = ref_nested_hits run.tx_results);
+        let weights =
+          List.map
+            (fun (br, w) -> (br, Int64.bits_of_float w))
+            (Mufuzz.Branch_summary.weighted_sides s)
+        in
+        let weights_ref =
+          Analysis.Prefix.weight_table ~params (Lazy.force crowdsale_cfg)
+            (List.map (fun (r : Mufuzz.Executor.tx_result) -> r.trace) run.tx_results)
+        in
+        check
+          (List.sort compare weights
+          = List.map (fun (br, w) -> (br, Int64.bits_of_float w)) (sorted_bindings weights_ref))
+      end;
+      let fresh = Mufuzz.Coverage.record_run cov s in
+      let fresh_ref =
+        List.fold_left
+          (fun acc (r : Mufuzz.Executor.tx_result) -> Mufuzz.Coverage.record cov_ref r.trace || acc)
+          false run.tx_results
+      in
+      check (fresh = fresh_ref);
+      Mufuzz.Campaign.note_flip_attempts ~coverage:cov attempts s;
+      ref_note_flip_attempts cov_ref attempts_ref run.tx_results;
+      check (sorted_bindings attempts = sorted_bindings attempts_ref);
+      check
+        (Telemetry.Json.to_string (Mufuzz.Coverage.to_json cov)
+        = Telemetry.Json.to_string (Mufuzz.Coverage.to_json cov_ref));
+      (* and after recording, as the coordinator's entry sees it *)
+      if i = last then
+        check
+          (bits (Mufuzz.Coverage.frontier_dists cov s)
+          = bits (ref_frontier_dists cov_ref run.tx_results)))
+    runs;
+  !ok
+
+let summary_model_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"summary-fed consumers = per-event references" ~count:1000
+         ~long_factor:20 ~print:print_summary_case gen_summary_case summary_agrees);
+    unit "a summary survives its builder's next run" (fun () ->
+        let b = summary_builder ~weigh:Analysis.Prefix.default_params () in
+        let br pc taken d =
+          Evm.Trace.Branch { pc; taken; dist_to_flip = d; cond_taint = 0; cmp = None }
+        in
+        let first = run_of [ trace_of [ br 4 true 3.0; br 4 true 1.0; br 9 false 2.0 ] ] in
+        let second = run_of [ trace_of [ br 4 true 0.5; br 7 true 6.0 ] ] in
+        let s = Mufuzz.Branch_summary.summarize b first.tx_results in
+        let view (s : Mufuzz.Branch_summary.t) =
+          (Array.copy s.keys, Array.copy s.hits, Array.copy s.dists, Array.copy s.nested,
+           Array.copy s.weights)
+        in
+        let before = view s in
+        ignore (Mufuzz.Branch_summary.summarize b second.tx_results);
+        Alcotest.(check bool) "unchanged" true (before = view s);
+        Alcotest.(check (list (pair int bool))) "path" [ (4, true); (9, false) ]
+          (Mufuzz.Branch_summary.path s));
+    unit "builders grow past the contract's JUMPI count" (fun () ->
+        (* a contract without branches sizes the builder at its minimum *)
+        let cfg =
+          Analysis.Cfg.build
+            (Minisol.Contract.compile "contract Empty { uint256 x; }").Minisol.Contract.bytecode
+        in
+        let b = Mufuzz.Branch_summary.builder cfg in
+        let events =
+          List.init 300 (fun i ->
+              Evm.Trace.Branch
+                { pc = i * 7 mod 211; taken = i mod 3 = 0; dist_to_flip = float_of_int (i mod 5);
+                  cond_taint = 0; cmp = None })
+        in
+        let run = run_of [ trace_of events; trace_of (List.rev events) ] in
+        for _ = 1 to 2 do
+          let s = Mufuzz.Branch_summary.summarize b run.tx_results in
+          Alcotest.(check (list (pair int bool))) "path" (ref_path run.tx_results)
+            (Mufuzz.Branch_summary.path s);
+          Alcotest.(check int) "hits" 600 (Array.fold_left ( + ) 0 s.hits)
+        done);
   ]
 
 let energy_tests =
@@ -485,6 +706,7 @@ let suite =
     ("mufuzz: mask", mask_tests);
     ("mufuzz: coverage", coverage_tests);
     ("mufuzz: frontier model", frontier_model_tests);
+    ("branch summary: model", summary_model_tests);
     ("mufuzz: energy", energy_tests);
     ("mufuzz: campaign", campaign_tests);
   ]
