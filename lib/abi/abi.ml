@@ -29,20 +29,38 @@ let signature f =
     (String.concat "," (List.map ty_to_string f.inputs))
 
 (* Selectors are requested for every transaction the executor encodes,
-   so memoize per domain (lock-free under the parallel campaign
-   runner). Keyed by the signature string, which fully determines the
-   selector. *)
-let selector_memo : (string, string) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+   so memoize per domain (lock-free under the parallel campaign runner).
+   Keyed by content, the name and input types that determine the
+   signature, so a lookup neither formats the signature nor depends on
+   [func] records being physically shared (seed records are not). A
+   long-lived process fuzzes many contracts, so the table is dropped
+   whenever it reaches [selector_memo_cap] entries. *)
+module Sig_tbl = Hashtbl.Make (struct
+  type t = func
+
+  let ty_code = function Uint256 -> 0 | Uint8 -> 1 | Address -> 2 | Bool -> 3
+
+  let equal a b =
+    String.equal a.name b.name
+    && List.equal (fun x y -> ty_code x = ty_code y) a.inputs b.inputs
+
+  let hash f =
+    List.fold_left (fun h ty -> (h * 5) + ty_code ty) (Hashtbl.hash f.name) f.inputs
+end)
+
+let selector_memo_cap = 1024
+
+let selector_memo : string Sig_tbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Sig_tbl.create 64)
 
 let selector f =
-  let sg = signature f in
   let memo = Domain.DLS.get selector_memo in
-  match Hashtbl.find_opt memo sg with
+  match Sig_tbl.find_opt memo f with
   | Some s -> s
   | None ->
-    let s = Crypto.Keccak.selector sg in
-    Hashtbl.add memo sg s;
+    let s = Crypto.Keccak.selector (signature f) in
+    if Sig_tbl.length memo >= selector_memo_cap then Sig_tbl.reset memo;
+    Sig_tbl.add memo f s;
     s
 
 let address_mask =
@@ -76,19 +94,30 @@ let encode_call f values =
 
 let args_byte_length f = word_size * List.length f.inputs
 
+(* One buffer, zero-filled: the selector and each argument word are
+   blitted in, keeping only the bytes the type's canonical form keeps
+   (the byte-level image of [canonicalize_word]); bytes past the end of
+   [raw] stay zero. *)
 let encode_args_raw f raw =
-  let buf = Buffer.create (4 + args_byte_length f) in
-  Buffer.add_string buf (selector f);
+  let out = Bytes.make (4 + args_byte_length f) '\000' in
+  Bytes.blit_string (selector f) 0 out 0 4;
+  let raw_len = String.length raw in
   List.iteri
     (fun i ty ->
-      let word =
-        String.init word_size (fun j ->
-            let k = (i * word_size) + j in
-            if k < String.length raw then raw.[k] else '\000')
-      in
-      Buffer.add_string buf (U.to_bytes_be (canonicalize_word ty (U.of_bytes_be word))))
+      let src = i * word_size in
+      let dst = 4 + src in
+      let avail = Stdlib.max 0 (Stdlib.min word_size (raw_len - src)) in
+      match ty with
+      | Uint256 -> if avail > 0 then Bytes.blit_string raw src out dst avail
+      | Uint8 -> if avail = word_size then Bytes.set out (dst + 31) raw.[src + 31]
+      | Address ->
+        if avail > 12 then Bytes.blit_string raw (src + 12) out (dst + 12) (avail - 12)
+      | Bool ->
+        let j = ref 0 in
+        while !j < avail && raw.[src + !j] = '\000' do incr j done;
+        if !j < avail then Bytes.set out (dst + 31) '\001')
     f.inputs;
-  Buffer.contents buf
+  Bytes.unsafe_to_string out
 
 let decode_args f data =
   List.mapi

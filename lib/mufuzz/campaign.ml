@@ -62,17 +62,14 @@ let mask_feedback ~baseline_nested ~baseline_dists =
    through few distinct call paths, so [path_hashes] memoises the Keccak
    path digest per call path. It belongs to one campaign's coordinator;
    a global table would be shared across domains. *)
-let finding_key path_hashes (seed : Seed.t) (f : Oracles.Oracle.finding) =
-  let call_path = Seed.call_path seed ~upto:f.tx_index in
-  let k_path =
-    match Hashtbl.find_opt path_hashes call_path with
-    | Some h -> h
-    | None ->
-      let h = Oracles.Oracle.path_hash call_path in
-      Hashtbl.add path_hashes call_path h;
-      h
-  in
-  { Oracles.Oracle.k_cls = f.cls; k_pc = f.pc; k_path }
+let path_digest path_hashes (seed : Seed.t) ~tx_index =
+  let call_path = Seed.call_path seed ~upto:tx_index in
+  match Hashtbl.find_opt path_hashes call_path with
+  | Some h -> h
+  | None ->
+    let h = Oracles.Oracle.path_hash call_path in
+    Hashtbl.add path_hashes call_path h;
+    h
 
 let sorted_occurrences occ =
   Hashtbl.fold (fun k n acc -> (k, n) :: acc) occ []
@@ -687,10 +684,17 @@ let checkpoint st =
     { Report.execs = st.execs; covered = Coverage.covered_count st.coverage }
     :: st.over_time
 
+(* The oracles report alarms grouped by raising transaction, so the
+   call-path digest is taken once per group, not once per alarm. *)
 let note_findings st seed fs =
+  let group_tx = ref min_int and group_path = ref "" in
   List.iter
     (fun (f : Oracles.Oracle.finding) ->
-      let tkey = finding_key st.path_hashes seed f in
+      if f.tx_index <> !group_tx then begin
+        group_tx := f.tx_index;
+        group_path := path_digest st.path_hashes seed ~tx_index:f.tx_index
+      end;
+      let tkey = { Oracles.Oracle.k_cls = f.cls; k_pc = f.pc; k_path = !group_path } in
       Hashtbl.replace st.occ tkey
         (1 + Option.value ~default:0 (Hashtbl.find_opt st.occ tkey));
       let key = (f.cls, f.pc) in

@@ -1,16 +1,15 @@
 type branch = int * bool
 
 (* A side [(pc, taken)] is keyed as [pc lsl 1 lor taken] (the
-   [Branch_summary.side] key, restated here so it inlines), so each
-   lookup hashes one int and the flip side is [k lxor 1]. Values are
-   plain ints and floats, so [copy] is a bucket copy. Keys are injective
-   for [0 <= pc <= max_key_pc]; traces only produce such pcs and
-   [of_json] rejects the rest. *)
+   [Branch_summary.side] key), so each lookup hashes one int and the
+   flip side is [k lxor 1]. Values are plain ints and floats, so [copy]
+   is a bucket copy. Keys are injective for [0 <= pc <= max_key_pc];
+   traces only produce such pcs and [of_json] rejects the rest. *)
 module Tbl = Branch_summary.Tbl
 
 let max_key_pc = max_int asr 1
-let[@inline] key pc taken = (pc lsl 1) lor Bool.to_int taken
-let branch_of_key k = (k lsr 1, k land 1 = 1)
+let key = Branch_summary.side
+let branch_of_key = Branch_summary.branch
 
 type t = {
   hits : int Tbl.t;

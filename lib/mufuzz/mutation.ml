@@ -14,6 +14,10 @@ let random rng ~max_n =
 
 let interesting_bytes = "\x00\x01\x02\x07\x08\x0f\x10\x1f\x20\x40\x64\x7f\x80\xff"
 
+(* wei, finney, ether *)
+let value_units =
+  Array.map Word.U256.of_decimal_string [| "1"; "1000000000000000"; "1000000000000000000" |]
+
 (* Word-level dictionary for the R operator: boundary constants and
    round ether denominations — the values strict branch conditions
    compare against. *)
@@ -23,13 +27,8 @@ let interesting_word rng =
   | 0 -> U.of_int (Util.Rng.int rng 256)
   | 1 ->
     (* k wei/finney/ether for small k *)
-    let unit =
-      match Util.Rng.int rng 3 with
-      | 0 -> "1"
-      | 1 -> "1000000000000000"
-      | _ -> "1000000000000000000"
-    in
-    U.mul (U.of_int (1 + Util.Rng.int rng 200)) (U.of_decimal_string unit)
+    let unit = value_units.(Util.Rng.int rng 3) in
+    U.mul (U.of_int (1 + Util.Rng.int rng 200)) unit
   | 2 -> U.shift_left U.one (Util.Rng.int rng 256)
   | 3 -> U.sub (U.shift_left U.one (1 + Util.Rng.int rng 255)) U.one
   | 4 -> U.max_value

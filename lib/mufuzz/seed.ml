@@ -28,11 +28,14 @@ let make_tx fn ~sender ~args ~value =
   in
   { fn; stream = args ^ U.to_bytes_be value; sender }
 
+let finney_word = U.of_decimal_string "1000000000000000"
+let ether_word = U.of_decimal_string "1000000000000000000"
+
 (* Boundary dictionary for initial word generation. *)
 let interesting_words =
   lazy
-    (let ether n = U.mul (U.of_int n) (U.of_decimal_string "1000000000000000000") in
-     let finney n = U.mul (U.of_int n) (U.of_decimal_string "1000000000000000") in
+    (let ether n = U.mul (U.of_int n) ether_word in
+     let finney n = U.mul (U.of_int n) finney_word in
      [| U.zero; U.one; U.of_int 2; U.of_int 10; U.of_int 100; U.of_int 255;
         U.of_int 256; U.of_int 1024; U.of_int 65535;
         ether 1; ether 10; ether 100; finney 1; finney 100;
@@ -58,8 +61,8 @@ let random_value rng =
   match Util.Rng.int rng 5 with
   | 0 -> U.zero
   | 1 -> U.of_int (Util.Rng.int rng 1000)
-  | 2 -> U.mul (U.of_int (1 + Util.Rng.int rng 200)) (U.of_decimal_string "1000000000000000")
-  | 3 -> U.mul (U.of_int (1 + Util.Rng.int rng 200)) (U.of_decimal_string "1000000000000000000")
+  | 2 -> U.mul (U.of_int (1 + Util.Rng.int rng 200)) finney_word
+  | 3 -> U.mul (U.of_int (1 + Util.Rng.int rng 200)) ether_word
   | _ -> Util.Rng.choose rng (Lazy.force interesting_words)
 
 let random_word_for ?(dict = [||]) rng ~n_senders (ty : Abi.ty) =

@@ -56,14 +56,17 @@ let inspect_trace ~static ~tx_index ~tx_success (trace : T.t) =
   ignore static;
   let findings = ref [] in
   let add cls pc detail = findings := { cls; pc; tx_index; detail } :: !findings in
-  let checked_calls = Hashtbl.create 8 in
-  List.iter
-    (function
-      | T.Call_result_checked { call_id } -> Hashtbl.replace checked_calls call_id ()
-      | _ -> ())
-    trace.events;
-  let saw_reentry = List.exists (function T.Reentrant_call _ -> true | _ -> false)
-      trace.events in
+  (* look-ahead: a call's status check and a reentry can both follow
+     the call they concern *)
+  let checked_calls, saw_reentry =
+    List.fold_left
+      (fun ((checked, reentry) as acc) ev ->
+        match ev with
+        | T.Call_result_checked { call_id } -> (call_id :: checked, reentry)
+        | T.Reentrant_call _ when not reentry -> (checked, true)
+        | _ -> acc)
+      ([], false) trace.events
+  in
   let risky_call_seen = ref None in
   List.iter
     (fun ev ->
@@ -98,7 +101,7 @@ let inspect_trace ~static ~tx_index ~tx_success (trace : T.t) =
         | T.Staticcall -> ());
         (* UE: a failing call whose status never reaches a JUMPI, in a
            transaction that still succeeds overall *)
-        if (not success) && tx_success && not (Hashtbl.mem checked_calls id) then
+        if (not success) && tx_success && not (List.exists (Int.equal id) checked_calls) then
           add UE pc "failing external call result is never checked"
       end
       | T.Storage_write { pc; after_external_call; _ } -> begin

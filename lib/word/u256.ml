@@ -507,13 +507,6 @@ let to_hex_string a =
     Buffer.contents buf
   end
 
-let of_bytes_be s =
-  let n = String.length s in
-  if n > 32 then invalid_arg "U256.of_bytes_be: more than 32 bytes";
-  let acc = ref zero in
-  String.iter (fun c -> acc := logor (shift_left !acc 8) (of_int (Char.code c))) s;
-  !acc
-
 let to_bytes_be a =
   String.init 32 (fun i ->
       let bit = (31 - i) * 8 in
@@ -545,9 +538,17 @@ let read_be_string s off =
     (String.get_int64_be s (off + 8))
     (String.get_int64_be s off)
 
-(* Fast path for the common exact-width case (hash outputs, memory and
-   calldata words); the byte-at-a-time fold above handles the rest. *)
-let of_bytes_be s = if String.length s = 32 then read_be_string s 0 else of_bytes_be s
+(* Exact-width input (hash outputs, memory and calldata words) is read in
+   place; shorter input is left-padded into a scratch word first. *)
+let of_bytes_be s =
+  let n = String.length s in
+  if n = 32 then read_be_string s 0
+  else if n > 32 then invalid_arg "U256.of_bytes_be: more than 32 bytes"
+  else begin
+    let b = Bytes.make 32 '\000' in
+    Bytes.blit_string s 0 b (32 - n) n;
+    read_be b 0
+  end
 
 let byte i x =
   if i >= 32 || i < 0 then zero

@@ -65,4 +65,104 @@ let tests =
           (Abi.args_byte_length (fn "f" [ Abi.Uint256; Abi.Address ])));
   ]
 
-let suite = [ ("abi", tests) ]
+(* The encoder [Abi.encode_args_raw] had before it wrote into one
+   buffer: each argument word is padded out with [String.init], read as a
+   word, canonicalised and written back, after a selector taken from the
+   formatted signature. *)
+let encode_args_raw_model (f : Abi.func) raw =
+  let buf = Buffer.create (4 + Abi.args_byte_length f) in
+  Buffer.add_string buf (Crypto.Keccak.selector (Abi.signature f));
+  List.iteri
+    (fun i ty ->
+      let word =
+        String.init Abi.word_size (fun j ->
+            let k = (i * Abi.word_size) + j in
+            if k < String.length raw then raw.[k] else '\000')
+      in
+      Buffer.add_string buf (U.to_bytes_be (Abi.canonicalize_word ty (U.of_bytes_be word))))
+    f.inputs;
+  Buffer.contents buf
+
+let gen_ty = QCheck2.Gen.oneofl [ Abi.Uint256; Abi.Uint8; Abi.Address; Abi.Bool ]
+
+(* Raw streams built word by word from the canonicalisation edge cases,
+   all-zero words and words with one non-zero byte (Bool, Uint8, the
+   Address boundary) beside random ones, then cut at any length up to
+   past the arguments, so streams also end inside a word. *)
+let gen_raw n_inputs =
+  QCheck2.Gen.(
+    let sparse_word =
+      map2
+        (fun pos c -> String.init Abi.word_size (fun j -> if j = pos then c else '\000'))
+        (int_range 0 (Abi.word_size - 1)) (char_range '\001' '\255')
+    in
+    let word =
+      frequency
+        [ (1, return (String.make Abi.word_size '\000'));
+          (2, sparse_word);
+          (2, string_size ~gen:char (return Abi.word_size)) ]
+    in
+    map2
+      (fun words len ->
+        let s = String.concat "" words in
+        String.sub s 0 (Stdlib.min len (String.length s)))
+      (list_repeat (n_inputs + 2) word)
+      (int_range 0 ((Abi.word_size * n_inputs) + 40)))
+
+let gen_func_raw =
+  QCheck2.Gen.(
+    pair (oneofl [ "f"; "transfer"; "g2" ]) (list_size (int_range 0 6) gen_ty)
+    >>= fun (name, inputs) ->
+    map (fun raw -> (fn name inputs, raw)) (gen_raw (List.length inputs)))
+
+let print_func_raw ((f : Abi.func), raw) =
+  Printf.sprintf "%s raw=%s" (Abi.signature f) (Util.Hex.encode raw)
+
+let equivalence =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"encode_args_raw matches the word-by-word encoder"
+         ~count:1000 ~long_factor:50 ~print:print_func_raw gen_func_raw (fun (f, raw) ->
+           String.equal (Abi.encode_args_raw f raw) (encode_args_raw_model f raw)));
+    unit "selector memo: equal content, physically distinct funcs" (fun () ->
+        (* built at run time so the records are not shared constants *)
+        let mk () = fn (String.concat "" [ "trans"; "fer" ]) [ Abi.Address; Abi.Uint256 ] in
+        let a = mk () and b = { (mk ()) with payable = true } in
+        Alcotest.(check bool) "distinct records" false (a == b);
+        let sa = Abi.selector a and sb = Abi.selector b in
+        Alcotest.(check string) "first" "a9059cbb" (Util.Hex.encode sa);
+        Alcotest.(check string) "second" "a9059cbb" (Util.Hex.encode sb);
+        (* the second lookup is served from the entry the first one made *)
+        Alcotest.(check bool) "one memo entry" true (sa == sb));
+    unit "selector memo: same name, different inputs" (fun () ->
+        let sel inputs = Abi.selector (fn "f" inputs) in
+        let sigs =
+          [ []; [ Abi.Uint256 ]; [ Abi.Uint8 ]; [ Abi.Address ]; [ Abi.Bool ];
+            [ Abi.Uint256; Abi.Bool ]; [ Abi.Bool; Abi.Uint256 ] ]
+        in
+        (* twice, so the second round reads the memo *)
+        for _ = 1 to 2 do
+          List.iter
+            (fun inputs ->
+              Alcotest.(check string)
+                (Abi.signature (fn "f" inputs))
+                (Crypto.Keccak.selector (Abi.signature (fn "f" inputs)))
+                (sel inputs))
+            sigs
+        done;
+        let distinct = List.sort_uniq String.compare (List.map sel sigs) in
+        Alcotest.(check int) "all distinct" (List.length sigs) (List.length distinct));
+    unit "selector memo stays correct past its size cap" (fun () ->
+        let f i = fn (Printf.sprintf "fn%d" i) [ Abi.Uint256 ] in
+        for i = 0 to 2500 do
+          ignore (Abi.selector (f i))
+        done;
+        List.iter
+          (fun i ->
+            Alcotest.(check string) (string_of_int i)
+              (Crypto.Keccak.selector (Abi.signature (f i)))
+              (Abi.selector (f i)))
+          [ 0; 1023; 1024; 2500 ]);
+  ]
+
+let suite = [ ("abi", tests); ("abi: encoder model", equivalence) ]

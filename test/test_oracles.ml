@@ -244,6 +244,30 @@ let trace_unit_tests =
         Alcotest.(check bool) "call alone silent" false (List.mem O.RE (f [ call ]));
         Alcotest.(check bool) "pre-write alone silent" false
           (List.mem O.RE (f [ write false; call ])));
+    unit "RE through a fixed target needs a reentry anywhere in the trace" (fun () ->
+        (* a constant call target is not influenceable, so only an observed
+           reentry makes the call risky; the reentry event may come after
+           the call and the write it explains *)
+        let call =
+          Evm.Trace.External_call
+            { id = 0; pc = 10; kind = Evm.Trace.Call; target = U.one;
+              target_taint = Evm.Trace.Taint.none; value = U.one; gas = 50_000;
+              success = true; caller_guard_before = false }
+        in
+        let write =
+          Evm.Trace.Storage_write
+            { slot = U.one; value = U.one; pc = 20; after_external_call = true }
+        in
+        let reentry = Evm.Trace.Reentrant_call { pc = 0 } in
+        let f events =
+          classes_of (O.inspect_trace ~static:static_none ~tx_index:0 ~tx_success:true
+                        (mk_trace events))
+        in
+        Alcotest.(check bool) "no reentry silent" false (List.mem O.RE (f [ call; write ]));
+        Alcotest.(check bool) "reentry before fires" true
+          (List.mem O.RE (f [ reentry; call; write ]));
+        Alcotest.(check bool) "reentry after fires" true
+          (List.mem O.RE (f [ call; write; reentry ])));
     unit "US respects the caller guard" (fun () ->
         let sd guarded =
           Evm.Trace.Selfdestruct

@@ -87,6 +87,13 @@ let prop3 name f =
 
 let unit name f = Alcotest.test_case name `Quick f
 
+(* The byte-at-a-time definition [of_bytes_be] had before it read limbs
+   from a left-padded word. *)
+let of_bytes_be_model s =
+  let acc = ref U.zero in
+  String.iter (fun c -> acc := U.logor (U.shift_left !acc 8) (U.of_int (Char.code c))) s;
+  !acc
+
 let conversions =
   [
     unit "of_int/to_int roundtrip" (fun () ->
@@ -118,6 +125,15 @@ let conversions =
         Alcotest.check u256 "-2" (U.sub U.max_value U.one) (U.of_signed_int (-2)));
     prop1 "bytes_be roundtrip" (fun a ->
         U.equal a (U.of_bytes_be (U.to_bytes_be a)));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"of_bytes_be matches the byte fold at lengths 0-32"
+         ~count:1000 ~long_factor:50 ~print:(Printf.sprintf "%S")
+         QCheck2.Gen.(int_range 0 32 >>= fun n -> string_size ~gen:char (return n))
+         (fun s -> U.equal (U.of_bytes_be s) (of_bytes_be_model s)));
+    unit "of_bytes_be rejects more than 32 bytes" (fun () ->
+        Alcotest.check_raises "33 bytes"
+          (Invalid_argument "U256.of_bytes_be: more than 32 bytes")
+          (fun () -> ignore (U.of_bytes_be (String.make 33 '\001'))));
     prop1 "decimal roundtrip" (fun a ->
         U.equal a (U.of_decimal_string (U.to_decimal_string a)));
     prop1 "hex roundtrip" (fun a -> U.equal a (U.of_hex_string (U.to_hex_string a)));
