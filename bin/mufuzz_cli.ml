@@ -44,11 +44,25 @@ let seed_arg =
   Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"SEED"
          ~doc:"Campaign RNG seed (campaigns are deterministic per seed).")
 
+(* Worker-domain counts above [Mufuzz.Pool.max_jobs] are structured
+   parse errors (exit 124), not a pool that dies half-spawned. *)
+let jobs_conv =
+  let parse s =
+    match int_of_string_opt (String.trim s) with
+    | None -> Error (`Msg (Printf.sprintf "jobs must be an integer, got %S" s))
+    | Some n -> (
+      match Mufuzz.Pool.check_jobs n with
+      | Ok _ -> Ok n
+      | Error msg -> Error (`Msg msg))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let jobs_arg =
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Worker domains for the campaign. 1 (the default) runs the \
-               sequential loop; N>1 shards seed-energy batches across N \
-               cores, merging coverage at batch boundaries.")
+  Arg.(value & opt jobs_conv 1 & info [ "jobs"; "j" ] ~docv:"N"
+         ~doc:"Worker domains for the campaign, at most 64. 1 (the \
+               default) runs the sequential loop; N>1 shards seed-energy \
+               batches across N cores, merging coverage at batch \
+               boundaries.")
 
 (* [--round-batch] takes a positive integer; 0, negatives and garbage
    are structured parse errors (exit 124) rather than a silent clamp
@@ -691,10 +705,10 @@ let serve_cmd =
                  cost of more checkpoint writes.")
   in
   let pool_jobs_arg =
-    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Worker domains in the shared pool. Campaigns submitted with \
-                 \"jobs\" > 1 shard across it; the default 1 runs every \
-                 campaign sequentially (and deterministically).")
+    Arg.(value & opt jobs_conv 1 & info [ "jobs"; "j" ] ~docv:"N"
+           ~doc:"Worker domains in the shared pool, at most 64. Campaigns \
+                 submitted with \"jobs\" > 1 shard across it; the default 1 \
+                 runs every campaign sequentially (and deterministically).")
   in
   let run state socket port slice_execs jobs checkpoint_keep verbose =
     setup_logs verbose;

@@ -1,7 +1,5 @@
 type t = Opcode.t array
 
-let length = Array.length
-
 let push_width v =
   let bits = Word.U256.bit_length v in
   Stdlib.max 1 ((bits + 7) / 8)
@@ -32,14 +30,80 @@ let to_listing code = Format.asprintf "%a" pp code
    artifact replaces the table with a [bool array] (branch-free indexed
    load) and caches [byte_size] and the push-constant dictionary. *)
 
+type chain = {
+  ch_start : int;
+  ch_consts : Word.U256.t array;
+  ch_dests : int array;
+}
+
 type artifact = {
   a_code : t;
   a_jumpdest : bool array;  (* a_jumpdest.(pc) = pc is a valid JUMPDEST *)
   a_byte_size : int;
   a_push_constants : Word.U256.t array;
+  a_chains : chain array;  (* sorted by [ch_start] *)
 }
 
 let is_jumpdest art pc = pc >= 0 && pc < Array.length art.a_jumpdest && art.a_jumpdest.(pc)
+
+(* Selector-dispatcher chains. Minisol's dispatcher is one
+   [DUP 1; PUSH c; EQ; PUSH d; JUMPI] group per external function, and
+   every transaction walks it linearly before reaching contract logic.
+   A group holds no JUMPDEST, so control enters a maximal run of groups
+   only at its first [DUP 1]; the interpreter resolves the whole run
+   there at once. The table is sparse (a contract has one dispatcher),
+   so looking a pc up costs a binary search over a handful of starts. *)
+
+let group_at code p =
+  p + 4 < Array.length code
+  &&
+  match (code.(p), code.(p + 1), code.(p + 2), code.(p + 3), code.(p + 4)) with
+  | Opcode.DUP 1, PUSH _, EQ, PUSH _, JUMPI -> true
+  | _ -> false
+
+let push_operand code p =
+  match code.(p) with Opcode.PUSH v -> v | _ -> assert false
+
+let chains code =
+  let n = Array.length code in
+  let acc = ref [] in
+  let p = ref 0 in
+  while !p < n do
+    if group_at code !p then begin
+      let start = !p in
+      while group_at code !p do
+        p := !p + 5
+      done;
+      let groups = (!p - start) / 5 in
+      if groups >= 2 then
+        acc :=
+          {
+            ch_start = start;
+            ch_consts = Array.init groups (fun k -> push_operand code (start + (5 * k) + 1));
+            ch_dests =
+              Array.init groups (fun k ->
+                  match Word.U256.to_int_opt (push_operand code (start + (5 * k) + 3)) with
+                  | Some d -> d
+                  | None -> -1);
+          }
+          :: !acc
+    end
+    else incr p
+  done;
+  Array.of_list (List.rev !acc)
+
+(* Top-level, so a lookup (one per executed [DUP 1]) allocates no
+   closure. *)
+let rec search chains pc lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let s = chains.(mid).ch_start in
+    if s = pc then mid
+    else if s < pc then search chains pc (mid + 1) hi
+    else search chains pc lo mid
+
+let find_chain art pc = search art.a_chains pc 0 (Array.length art.a_chains)
 
 (* Per-domain memo keyed by physical equality. A fuzzing campaign
    interprets a handful of distinct programs (the contract under test
@@ -82,6 +146,7 @@ let decode code =
     a_jumpdest = jd;
     a_byte_size = byte_size code;
     a_push_constants = Array.of_list (push_constants code);
+    a_chains = chains code;
   }
 
 let artifact code =

@@ -8,9 +8,6 @@
 
 type t = Opcode.t array
 
-val length : t -> int
-(** Number of instructions. *)
-
 val byte_size : t -> int
 (** Size of the canonical byte encoding ([PUSH] widths are minimal). *)
 
@@ -28,19 +25,34 @@ val push_constants : t -> Word.U256.t list
     Everything the interpreter's hot loop needs that is a pure function
     of the bytecode, computed once per program instead of once per
     frame: the jumpdest table as a [bool array], the canonical byte
-    size, and the push-constant dictionary. *)
+    size, the push-constant dictionary, and the selector-dispatcher
+    chains. *)
+
+type chain = private {
+  ch_start : int;  (** pc of the first group's [DUP 1] *)
+  ch_consts : Word.U256.t array;  (** group [k]'s compared constant *)
+  ch_dests : int array;
+      (** group [k]'s jump target, [-1] when the pushed word is not an
+          [int] (the interpreter's reading of a JUMPI target) *)
+}
+(** A maximal run of at least two consecutive
+    [DUP 1; PUSH c; EQ; PUSH d; JUMPI] groups, group [k] starting at
+    [ch_start + 5 * k]. Groups contain no [JUMPDEST], so a run is only
+    entered at its first instruction. *)
 
 type artifact = private {
   a_code : t;
   a_jumpdest : bool array;
   a_byte_size : int;
   a_push_constants : Word.U256.t array;
+  a_chains : chain array;  (** sorted by [ch_start] *)
 }
 
 val decode : t -> artifact
 (** Pure: computes the artifact from scratch. [a_jumpdest.(pc)] agrees
     with [jumpdests] membership, [a_byte_size] with [byte_size], and
-    [a_push_constants] with [push_constants] (same order). *)
+    [a_push_constants] with [push_constants] (same order). [a_chains]
+    lists every maximal group run of length [>= 2], found in one pass. *)
 
 val artifact : t -> artifact
 (** Memoized [decode], keyed by physical equality on the code array and
@@ -50,6 +62,10 @@ val artifact : t -> artifact
 
 val is_jumpdest : artifact -> int -> bool
 (** [is_jumpdest art pc]: O(1), false for out-of-range [pc]. *)
+
+val find_chain : artifact -> int -> int
+(** [find_chain art pc] is the index in [a_chains] of the chain starting
+    at [pc], or [-1]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Disassembly listing, one instruction per line with its index. *)

@@ -38,12 +38,14 @@ type config = {
   max_call_depth : int;
   attacker : State.address option;
   max_reentries : int;
+  comparisons : bool;
 }
 
 let attacker_address = U.of_hex_string "0xa77ac4e5"
 
 let default_config =
-  { max_call_depth = 8; attacker = Some attacker_address; max_reentries = 1 }
+  { max_call_depth = 8; attacker = Some attacker_address; max_reentries = 1;
+    comparisons = true }
 
 (* A stack cell: the word plus taint, the id of the external call whose
    status it is (if any), branch-distance information inherited from the
@@ -82,6 +84,14 @@ let stack_for_depth depth =
   if Array.length !pool.(depth) = 0 then !pool.(depth) <- Array.make 1024 dummy_cell;
   !pool.(depth)
 
+(* A frame's operand stack: a pooled 1024-slot array plus its depth.
+   EVM caps the stack at 1024, so overflow is [sp >= 1024] checked before
+   the write (the 1025th push halts). Slot [sp - 1] is the top; DUP and
+   SWAP are O(1) indexed loads. Popped slots keep their old cell until
+   overwritten, which is harmless. The operations are top-level and
+   inlined, so the interpreter's hottest paths make no call. *)
+type frame = { stk : cell array; mutable sp : int }
+
 type halt =
   | H_return of string
   | H_stop
@@ -93,6 +103,16 @@ type halt =
 
 
 exception Halted of halt
+
+let[@inline] push fr c =
+  if fr.sp >= 1024 then raise (Halted H_stackerr);
+  fr.stk.(fr.sp) <- c;
+  fr.sp <- fr.sp + 1
+
+let[@inline] pop fr =
+  if fr.sp = 0 then raise (Halted H_stackerr);
+  fr.sp <- fr.sp - 1;
+  fr.stk.(fr.sp)
 
 (* Per-transaction context shared by all frames. *)
 type ctx = {
@@ -107,6 +127,10 @@ type ctx = {
 }
 
 let emit ctx e = ctx.events_rev <- e :: ctx.events_rev
+
+let[@inline] charge ctx g =
+  ctx.gas <- ctx.gas - g;
+  if ctx.gas < 0 then raise (Halted H_oog)
 
 (* [neg x] has the limbs of [sub zero x]. *)
 let signed_float x = if U.is_neg x then -.U.to_float_sub U.zero x else U.to_float x
@@ -265,6 +289,69 @@ let to_offset cell =
   | Some n when n <= 0x100000 -> n
   | _ -> raise (Halted H_oog)
 
+(* The selector-dispatcher fast path. At the first [DUP 1] of a
+   {!Bytecode.chain} (already charged and counted), resolve the whole run
+   of [DUP 1; PUSH c; EQ; PUSH d; JUMPI] groups at once: find the first
+   [c] equal to the selector on top of the stack, emitting each passed
+   group's [Branch] exactly as the JUMPI would, and charging each
+   group's 22 gas and 5 steps. [chain_applies] admits only the cases
+   where that is provably what interpreting the groups one by one
+   gives: no stack overflow (the groups push two cells above [sp]), no
+   out-of-gas inside the run, and a selector whose comparison and
+   branch emit nothing but the [Branch] (no call-status check, no
+   block / origin / balance use, no caller guard). *)
+
+let group_gas = 22
+
+let side_effect_taints = T.block lor T.origin lor T.caller lor T.balance
+
+let chain_applies ctx fr (ch : Bytecode.chain) =
+  fr.sp >= 1 && fr.sp <= 1022
+  && ctx.gas >= (group_gas * Array.length ch.ch_consts) - 3
+  &&
+  let sel = fr.stk.(fr.sp - 1) in
+  sel.call_site = None && sel.taint land side_effect_taints = 0
+
+(* Runs [ch] from just after its first [DUP 1]; returns the next pc. *)
+let run_chain ctx fr art (ch : Bytecode.chain) =
+  let sel = fr.stk.(fr.sp - 1) in
+  let groups = Array.length ch.ch_consts in
+  let pass k =
+    ctx.gas <- ctx.gas - ((group_gas * k) - 3);
+    ctx.steps <- ctx.steps + (5 * k) - 1
+  in
+  let rec go k =
+    if k = groups then begin
+      pass groups;
+      ch.ch_start + (5 * groups)
+    end
+    else begin
+      let c = ch.ch_consts.(k) in
+      let taken = U.equal c sel.v in
+      let jumpi_pc = ch.ch_start + (5 * k) + 4 in
+      let cmp =
+        if ctx.cfg.comparisons then
+          Some
+            { Trace.cmp_pc = jumpi_pc - 2; cmp_op = Ceq; lhs = c; rhs = sel.v;
+              lhs_taint = T.none; rhs_taint = sel.taint; negated = false }
+        else None
+      in
+      emit ctx
+        (Branch
+           { pc = jumpi_pc; taken;
+             dist_to_flip =
+               (if taken then 1.0 else U.to_float_abs_difference c sel.v);
+             cond_taint = sel.taint; cmp });
+      if taken then begin
+        pass (k + 1);
+        let d = ch.ch_dests.(k) in
+        if Bytecode.is_jumpdest art d then d else raise (Halted H_badjump)
+      end
+      else go (k + 1)
+    end
+  in
+  go 0
+
 (* One call frame. [code_addr] supplies the bytecode, [storage_addr] the
    storage context (they differ under DELEGATECALL). Returns the frame's
    result and the resulting state; on failure the input state is the one
@@ -274,31 +361,11 @@ let rec exec_frame ctx (state : State.t) ~depth ~code_addr ~storage_addr
   let code = State.code state code_addr in
   let art = Bytecode.artifact code in
   let state_ref = ref state in
-  (* Operand stack: fixed 1024-slot array plus a depth counter. EVM caps
-     the stack at 1024, so overflow is [sp >= 1024] checked before the
-     write (the 1025th push halts). Slot [sp - 1] is the top; DUP and
-     SWAP become O(1) indexed loads instead of list walks. Popped slots
-     keep their old cell until overwritten, which is harmless. *)
-  let stack : cell array = stack_for_depth depth in
-  let sp = ref 0 in
+  let fr = { stk = stack_for_depth depth; sp = 0 } in
   let mem = mem_for_depth depth in
   let pc = ref 0 in
   let caller_checked = ref false in
   let did_external_call = ref false in
-  let push c =
-    if !sp >= 1024 then raise (Halted H_stackerr);
-    stack.(!sp) <- c;
-    incr sp
-  in
-  let pop () =
-    if !sp = 0 then raise (Halted H_stackerr);
-    decr sp;
-    stack.(!sp)
-  in
-  let charge op =
-    ctx.gas <- ctx.gas - Opcode.base_gas op;
-    if ctx.gas < 0 then raise (Halted H_oog)
-  in
   let note_compare_taints pc_ op a b =
     let t = T.union a.taint b.taint in
     if T.has t T.block then emit ctx (Block_state_use { pc = pc_; sink = "compare" });
@@ -411,45 +478,45 @@ let rec exec_frame ctx (state : State.t) ~depth ~code_addr ~storage_addr
     if !pc < 0 || !pc >= Array.length code then raise (Halted H_stop);
     let cur_pc = !pc in
     let op = code.(cur_pc) in
-    charge op;
+    charge ctx (Opcode.base_gas op);
     ctx.steps <- ctx.steps + 1;
     incr pc;
     match op with
     | STOP -> raise (Halted H_stop)
     | ADD ->
-      let a = pop () and b = pop () in
+      let a = pop fr and b = pop fr in
       let r = U.add a.v b.v in
       if U.lt r a.v then
         emit ctx (Arith_overflow { pc = cur_pc; op = "ADD"; taint = T.union a.taint b.taint });
-      push (binop (fun _ _ -> r) a b)
+      push fr (binop (fun _ _ -> r) a b)
     | MUL ->
-      let a = pop () and b = pop () in
+      let a = pop fr and b = pop fr in
       let r = U.mul a.v b.v in
       if U.mul_overflows a.v b.v then
         emit ctx (Arith_overflow { pc = cur_pc; op = "MUL"; taint = T.union a.taint b.taint });
-      push (binop (fun _ _ -> r) a b)
+      push fr (binop (fun _ _ -> r) a b)
     | SUB ->
-      let a = pop () and b = pop () in
+      let a = pop fr and b = pop fr in
       if U.lt a.v b.v then
         emit ctx (Arith_overflow { pc = cur_pc; op = "SUB"; taint = T.union a.taint b.taint });
-      push (binop U.sub a b)
-    | DIV -> let a = pop () and b = pop () in push (binop U.div a b)
-    | SDIV -> let a = pop () and b = pop () in push (binop U.sdiv a b)
-    | MOD -> let a = pop () and b = pop () in push (binop U.rem a b)
-    | SMOD -> let a = pop () and b = pop () in push (binop U.srem a b)
+      push fr (binop U.sub a b)
+    | DIV -> let a = pop fr and b = pop fr in push fr (binop U.div a b)
+    | SDIV -> let a = pop fr and b = pop fr in push fr (binop U.sdiv a b)
+    | MOD -> let a = pop fr and b = pop fr in push fr (binop U.rem a b)
+    | SMOD -> let a = pop fr and b = pop fr in push fr (binop U.srem a b)
     | ADDMOD ->
-      let a = pop () and b = pop () and m = pop () in
-      push { (binop (fun x y -> U.add_mod x y m.v) a b) with taint = T.union (T.union a.taint b.taint) m.taint }
+      let a = pop fr and b = pop fr and m = pop fr in
+      push fr { (binop (fun x y -> U.add_mod x y m.v) a b) with taint = T.union (T.union a.taint b.taint) m.taint }
     | MULMOD ->
-      let a = pop () and b = pop () and m = pop () in
-      push { (binop (fun x y -> U.mul_mod x y m.v) a b) with taint = T.union (T.union a.taint b.taint) m.taint }
-    | EXP -> let a = pop () and b = pop () in push (binop U.exp a b)
+      let a = pop fr and b = pop fr and m = pop fr in
+      push fr { (binop (fun x y -> U.mul_mod x y m.v) a b) with taint = T.union (T.union a.taint b.taint) m.taint }
+    | EXP -> let a = pop fr and b = pop fr in push fr (binop U.exp a b)
     | SIGNEXTEND ->
-      let k = pop () and x = pop () in
+      let k = pop fr and x = pop fr in
       let kk = match U.to_int_opt k.v with Some n -> n | None -> 31 in
-      push { (binop (fun _ x -> U.sign_extend kk x) k x) with taint = x.taint }
+      push fr { (binop (fun _ x -> U.sign_extend kk x) k x) with taint = x.taint }
     | (LT | GT | SLT | SGT | EQ) as cmp ->
-      let a = pop () and b = pop () in
+      let a = pop fr and b = pop fr in
       note_compare_taints cur_pc cmp a b;
       let f =
         match cmp with
@@ -457,24 +524,28 @@ let rec exec_frame ctx (state : State.t) ~depth ~code_addr ~storage_addr
         | _ -> assert false
       in
       let r = if f a.v b.v then U.one else U.zero in
-      let cmp_op : Trace.cmp_op =
-        match cmp with
-        | LT -> Clt | GT -> Cgt | SLT -> Cslt | SGT -> Csgt | EQ -> Ceq
-        | _ -> assert false
+      let site =
+        if not ctx.cfg.comparisons then None
+        else
+          let cmp_op : Trace.cmp_op =
+            match cmp with
+            | LT -> Clt | GT -> Cgt | SLT -> Cslt | SGT -> Csgt | EQ -> Ceq
+            | _ -> assert false
+          in
+          Some
+            { Trace.cmp_pc = cur_pc; cmp_op; lhs = a.v; rhs = b.v;
+              lhs_taint = a.taint; rhs_taint = b.taint; negated = false }
       in
-      push
+      push fr
         {
           v = r;
           taint = T.union a.taint b.taint;
           call_site = (match (a.call_site, b.call_site) with Some i, _ -> Some i | _, s -> s);
           dist = Some (cmp_dist cmp a.v b.v);
-          cmp =
-            Some
-              { Trace.cmp_pc = cur_pc; cmp_op; lhs = a.v; rhs = b.v;
-                lhs_taint = a.taint; rhs_taint = b.taint; negated = false };
+          cmp = site;
         }
     | ISZERO ->
-      let a = pop () in
+      let a = pop fr in
       let dist =
         match a.dist with
         | Some (dt, df) -> Some (df, dt)
@@ -485,6 +556,7 @@ let rec exec_frame ctx (state : State.t) ~depth ~code_addr ~storage_addr
       let cmp =
         match a.cmp with
         | Some c -> Some { c with Trace.negated = not c.Trace.negated }
+        | None when not ctx.cfg.comparisons -> None
         | None ->
           (* a zero test on a non-comparison value: its own comparison
              site (pushed value = [lhs == 0]) *)
@@ -492,10 +564,10 @@ let rec exec_frame ctx (state : State.t) ~depth ~code_addr ~storage_addr
             { Trace.cmp_pc = cur_pc; cmp_op = Ciszero; lhs = a.v; rhs = U.zero;
               lhs_taint = a.taint; rhs_taint = T.none; negated = false }
       in
-      push { v = (if U.is_zero a.v then U.one else U.zero); taint = a.taint;
+      push fr { v = (if U.is_zero a.v then U.one else U.zero); taint = a.taint;
              call_site = a.call_site; dist; cmp }
     | AND ->
-      let a = pop () and b = pop () in
+      let a = pop fr and b = pop fr in
       let dist =
         match (a.dist, b.dist) with
         | Some (t1, f1), Some (t2, f2) -> Some (t1 +. t2, Stdlib.min f1 f2)
@@ -509,10 +581,10 @@ let rec exec_frame ctx (state : State.t) ~depth ~code_addr ~storage_addr
         | Some c, None | None, Some c -> Some c
         | _ -> None
       in
-      push { (binop U.logand a b) with dist; cmp;
+      push fr { (binop U.logand a b) with dist; cmp;
              call_site = (match (a.call_site, b.call_site) with Some i, _ -> Some i | _, s -> s) }
     | OR ->
-      let a = pop () and b = pop () in
+      let a = pop fr and b = pop fr in
       let dist =
         match (a.dist, b.dist) with
         | Some (t1, f1), Some (t2, f2) -> Some (Stdlib.min t1 t2, f1 +. f2)
@@ -524,39 +596,39 @@ let rec exec_frame ctx (state : State.t) ~depth ~code_addr ~storage_addr
         | Some c, None | None, Some c -> Some c
         | _ -> None
       in
-      push { (binop U.logor a b) with dist; cmp }
-    | XOR -> let a = pop () and b = pop () in push (binop U.logxor a b)
-    | NOT -> let a = pop () in push { a with v = U.lognot a.v; dist = None; cmp = None }
+      push fr { (binop U.logor a b) with dist; cmp }
+    | XOR -> let a = pop fr and b = pop fr in push fr (binop U.logxor a b)
+    | NOT -> let a = pop fr in push fr { a with v = U.lognot a.v; dist = None; cmp = None }
     | BYTE ->
-      let i = pop () and x = pop () in
+      let i = pop fr and x = pop fr in
       let idx = match U.to_int_opt i.v with Some n -> n | None -> 32 in
-      push { (binop (fun _ x -> U.byte idx x) i x) with taint = x.taint }
+      push fr { (binop (fun _ x -> U.byte idx x) i x) with taint = x.taint }
     | SHL ->
-      let n = pop () and x = pop () in
+      let n = pop fr and x = pop fr in
       let sh = match U.to_int_opt n.v with Some s -> s | None -> 256 in
-      push { x with v = U.shift_left x.v sh; dist = None; cmp = None }
+      push fr { x with v = U.shift_left x.v sh; dist = None; cmp = None }
     | SHR ->
-      let n = pop () and x = pop () in
+      let n = pop fr and x = pop fr in
       let sh = match U.to_int_opt n.v with Some s -> s | None -> 256 in
-      push { x with v = U.shift_right x.v sh; dist = None; cmp = None }
+      push fr { x with v = U.shift_right x.v sh; dist = None; cmp = None }
     | SAR ->
-      let n = pop () and x = pop () in
+      let n = pop fr and x = pop fr in
       let sh = match U.to_int_opt n.v with Some s -> s | None -> 256 in
-      push { x with v = U.shift_right_arith x.v sh; dist = None; cmp = None }
+      push fr { x with v = U.shift_right_arith x.v sh; dist = None; cmp = None }
     | SHA3 ->
-      let off = pop () and len = pop () in
+      let off = pop fr and len = pop fr in
       let o = to_offset off and l = to_offset len in
       let data = Mem.read mem o l in
-      push (with_taint (Mem.range_taint mem o l) (keccak_word data))
-    | ADDRESS -> push (pure storage_addr)
+      push fr (with_taint (Mem.range_taint mem o l) (keccak_word data))
+    | ADDRESS -> push fr (pure storage_addr)
     | BALANCE ->
-      let a = pop () in
-      push (with_taint T.balance (State.balance !state_ref a.v))
-    | ORIGIN -> push (with_taint T.origin msg.origin)
-    | CALLER -> push (with_taint T.caller msg.caller)
-    | CALLVALUE -> push (with_taint T.callvalue msg.value)
+      let a = pop fr in
+      push fr (with_taint T.balance (State.balance !state_ref a.v))
+    | ORIGIN -> push fr (with_taint T.origin msg.origin)
+    | CALLER -> push fr (with_taint T.caller msg.caller)
+    | CALLVALUE -> push fr (with_taint T.callvalue msg.value)
     | CALLDATALOAD ->
-      let off = pop () in
+      let off = pop fr in
       let o = match U.to_int_opt off.v with Some n when n <= 0x100000 -> n | _ -> 0x100000 in
       let w =
         if o + 32 <= String.length msg.data then U.read_be_string msg.data o
@@ -566,10 +638,10 @@ let rec exec_frame ctx (state : State.t) ~depth ~code_addr ~storage_addr
                  if o + i < String.length msg.data then msg.data.[o + i]
                  else '\000'))
       in
-      push (with_taint T.calldata w)
-    | CALLDATASIZE -> push (pure (U.of_int (String.length msg.data)))
+      push fr (with_taint T.calldata w)
+    | CALLDATASIZE -> push fr (pure (U.of_int (String.length msg.data)))
     | CALLDATACOPY ->
-      let dst = pop () and src = pop () and len = pop () in
+      let dst = pop fr and src = pop fr and len = pop fr in
       let d = to_offset dst and s0 = to_offset src and l = to_offset len in
       let chunk =
         String.init l (fun i ->
@@ -581,46 +653,46 @@ let rec exec_frame ctx (state : State.t) ~depth ~code_addr ~storage_addr
         Hashtbl.replace mem.Mem.taints (d + !i) Trace.Taint.calldata;
         i := !i + 32
       done
-    | CODESIZE -> push (pure (U.of_int art.Bytecode.a_byte_size))
+    | CODESIZE -> push fr (pure (U.of_int art.Bytecode.a_byte_size))
     | BLOCKHASH ->
-      let n = pop () in
-      push (with_taint T.block
+      let n = pop fr in
+      push fr (with_taint T.block
               (Crypto.Keccak.hash_word ("blockhash:" ^ U.to_decimal_string n.v)))
-    | COINBASE -> push (with_taint T.block ctx.block.coinbase)
-    | TIMESTAMP -> push (with_taint T.block ctx.block.timestamp)
-    | NUMBER -> push (with_taint T.block ctx.block.number)
-    | DIFFICULTY -> push (with_taint T.block ctx.block.difficulty)
-    | GASLIMIT -> push (with_taint T.block ctx.block.gaslimit)
-    | SELFBALANCE -> push (with_taint T.balance (State.balance !state_ref storage_addr))
-    | POP -> ignore (pop ())
+    | COINBASE -> push fr (with_taint T.block ctx.block.coinbase)
+    | TIMESTAMP -> push fr (with_taint T.block ctx.block.timestamp)
+    | NUMBER -> push fr (with_taint T.block ctx.block.number)
+    | DIFFICULTY -> push fr (with_taint T.block ctx.block.difficulty)
+    | GASLIMIT -> push fr (with_taint T.block ctx.block.gaslimit)
+    | SELFBALANCE -> push fr (with_taint T.balance (State.balance !state_ref storage_addr))
+    | POP -> ignore (pop fr)
     | MLOAD ->
-      let off = pop () in
+      let off = pop fr in
       let o = to_offset off in
-      push (with_taint (Mem.taint_at mem o) (Mem.load_word mem o))
+      push fr (with_taint (Mem.taint_at mem o) (Mem.load_word mem o))
     | MSTORE ->
-      let off = pop () and v = pop () in
+      let off = pop fr and v = pop fr in
       Mem.store_word ~taint:v.taint mem (to_offset off) v.v
     | MSTORE8 ->
-      let off = pop () and v = pop () in
+      let off = pop fr and v = pop fr in
       Mem.store_byte mem (to_offset off)
         (match U.to_int_opt (U.logand v.v (U.of_int 0xff)) with Some b -> b | None -> 0)
     | SLOAD ->
-      let slot = pop () in
+      let slot = pop fr in
       emit ctx (Storage_read { slot = slot.v; pc = cur_pc });
-      push (with_taint T.storage (State.storage_get !state_ref storage_addr slot.v))
+      push fr (with_taint T.storage (State.storage_get !state_ref storage_addr slot.v))
     | SSTORE ->
-      let slot = pop () and v = pop () in
+      let slot = pop fr and v = pop fr in
       emit ctx
         (Storage_write
            { slot = slot.v; value = v.v; pc = cur_pc;
              after_external_call = !did_external_call });
       state_ref := State.storage_set !state_ref storage_addr slot.v v.v
     | JUMP ->
-      let dest = pop () in
+      let dest = pop fr in
       let d = match U.to_int_opt dest.v with Some n -> n | None -> -1 in
       if Bytecode.is_jumpdest art d then pc := d else raise (Halted H_badjump)
     | JUMPI ->
-      let dest = pop () and cond = pop () in
+      let dest = pop fr and cond = pop fr in
       let taken = not (U.is_zero cond.v) in
       let dist_to_flip =
         match cond.dist with
@@ -643,32 +715,36 @@ let rec exec_frame ctx (state : State.t) ~depth ~code_addr ~storage_addr
         let d = match U.to_int_opt dest.v with Some n -> n | None -> -1 in
         if Bytecode.is_jumpdest art d then pc := d else raise (Halted H_badjump)
       end
-    | PC -> push (pure (U.of_int cur_pc))
-    | MSIZE -> push (pure (U.of_int mem.Mem.size))
-    | GAS -> push (pure (U.of_int (Stdlib.max ctx.gas 0)))
+    | PC -> push fr (pure (U.of_int cur_pc))
+    | MSIZE -> push fr (pure (U.of_int mem.Mem.size))
+    | GAS -> push fr (pure (U.of_int (Stdlib.max ctx.gas 0)))
     | JUMPDEST -> ()
-    | PUSH v -> push (pure v)
+    | PUSH v -> push fr (pure v)
     | DUP n ->
-      if !sp < n then raise (Halted H_stackerr);
-      push stack.(!sp - n)
+      if fr.sp < n then raise (Halted H_stackerr);
+      let ci = if n = 1 then Bytecode.find_chain art cur_pc else -1 in
+      if ci >= 0 && chain_applies ctx fr art.a_chains.(ci) then
+        pc := run_chain ctx fr art art.a_chains.(ci)
+      else push fr fr.stk.(fr.sp - n)
     | SWAP n ->
       (* Swap the top with the element n below it (EVM SWAPn). *)
-      if !sp < n + 1 then raise (Halted H_stackerr);
-      let i = !sp - 1 and j = !sp - 1 - n in
+      if fr.sp < n + 1 then raise (Halted H_stackerr);
+      let i = fr.sp - 1 and j = fr.sp - 1 - n in
+      let stack = fr.stk in
       let t = stack.(i) in
       stack.(i) <- stack.(j);
       stack.(j) <- t
     | LOG n ->
-      let _off = pop () and _len = pop () in
+      let _off = pop fr and _len = pop fr in
       let topics = ref [] in
       for _ = 1 to n do
-        topics := (pop ()).v :: !topics
+        topics := (pop fr).v :: !topics
       done;
       emit ctx (Log { pc = cur_pc; topics = List.rev !topics })
     | CALL ->
-      let gas = pop () and target = pop () and value = pop () in
-      let in_off = pop () and in_len = pop () in
-      let _out_off = pop () and _out_len = pop () in
+      let gas = pop fr and target = pop fr and value = pop fr in
+      let in_off = pop fr and in_len = pop fr in
+      let _out_off = pop fr and _out_len = pop fr in
       if T.has value.taint T.block || T.has target.taint T.block then
         emit ctx (Block_state_use { pc = cur_pc; sink = "call" });
       let indata = Mem.read mem (to_offset in_off) (to_offset in_len) in
@@ -681,12 +757,12 @@ let rec exec_frame ctx (state : State.t) ~depth ~code_addr ~storage_addr
       did_external_call := true;
       Mem.write mem (to_offset _out_off)
         (String.sub ret 0 (Stdlib.min (String.length ret) (to_offset _out_len)));
-      push { v = (if ok then U.one else U.zero); taint = T.callresult;
+      push fr { v = (if ok then U.one else U.zero); taint = T.callresult;
              call_site = Some id; dist = None; cmp = None }
     | DELEGATECALL ->
-      let gas = pop () and target = pop () in
-      let in_off = pop () and in_len = pop () in
-      let _out_off = pop () and _out_len = pop () in
+      let gas = pop fr and target = pop fr in
+      let in_off = pop fr and in_len = pop fr in
+      let _out_off = pop fr and _out_len = pop fr in
       let indata = Mem.read mem (to_offset in_off) (to_offset in_len) in
       let gas_req = match U.to_int_opt gas.v with Some g -> g | None -> ctx.gas in
       let id, ok, ret =
@@ -697,12 +773,12 @@ let rec exec_frame ctx (state : State.t) ~depth ~code_addr ~storage_addr
       did_external_call := true;
       Mem.write mem (to_offset _out_off)
         (String.sub ret 0 (Stdlib.min (String.length ret) (to_offset _out_len)));
-      push { v = (if ok then U.one else U.zero); taint = T.callresult;
+      push fr { v = (if ok then U.one else U.zero); taint = T.callresult;
              call_site = Some id; dist = None; cmp = None }
     | STATICCALL ->
-      let gas = pop () and target = pop () in
-      let in_off = pop () and in_len = pop () in
-      let _out_off = pop () and _out_len = pop () in
+      let gas = pop fr and target = pop fr in
+      let in_off = pop fr and in_len = pop fr in
+      let _out_off = pop fr and _out_len = pop fr in
       let indata = Mem.read mem (to_offset in_off) (to_offset in_len) in
       let gas_req = match U.to_int_opt gas.v with Some g -> g | None -> ctx.gas in
       let id, ok, ret =
@@ -713,20 +789,20 @@ let rec exec_frame ctx (state : State.t) ~depth ~code_addr ~storage_addr
       did_external_call := true;
       Mem.write mem (to_offset _out_off)
         (String.sub ret 0 (Stdlib.min (String.length ret) (to_offset _out_len)));
-      push { v = (if ok then U.one else U.zero); taint = T.callresult;
+      push fr { v = (if ok then U.one else U.zero); taint = T.callresult;
              call_site = Some id; dist = None; cmp = None }
     | RETURN ->
-      let off = pop () and len = pop () in
+      let off = pop fr and len = pop fr in
       raise (Halted (H_return (Mem.read mem (to_offset off) (to_offset len))))
     | REVERT ->
-      let off = pop () and len = pop () in
+      let off = pop fr and len = pop fr in
       emit ctx (Revert_reached { pc = cur_pc });
       raise (Halted (H_revert (Mem.read mem (to_offset off) (to_offset len))))
     | INVALID ->
       emit ctx (Invalid_reached { pc = cur_pc });
       raise (Halted H_invalid)
     | SELFDESTRUCT ->
-      let beneficiary = pop () in
+      let beneficiary = pop fr in
       emit ctx
         (Selfdestruct
            { pc = cur_pc; caller_guard_before = !caller_checked;

@@ -40,9 +40,15 @@ type config = {
   attacker : State.address option;
       (** account that re-enters its caller when paid *)
   max_reentries : int;  (** attacker reentry budget per transaction *)
+  comparisons : bool;
+      (** build the {!Trace.comparison} records that input prediction
+          reads; when [false], every [Branch]'s [cmp] is [None] and the
+          trace is otherwise identical *)
 }
 
 val default_config : config
+(** Call depth 8, the simulated attacker with one reentry, comparison
+    records on. *)
 
 val attacker_address : State.address
 (** Conventional address installed for the simulated attacker. *)

@@ -136,7 +136,9 @@ let to_string = function
 
 let pp fmt op = Format.pp_print_string fmt (to_string op)
 
-let base_gas = function
+(* Charged on every interpreted step. Too large for ocamlopt to inline
+   unasked, it would otherwise stay a call per step. *)
+let[@inline] base_gas = function
   | STOP | RETURN | REVERT | INVALID -> 0
   | ADD | SUB | LT | GT | SLT | SGT | EQ | ISZERO | AND | OR | XOR | NOT
   | BYTE | SHL | SHR | SAR | CALLVALUE | CALLDATALOAD | CALLDATASIZE

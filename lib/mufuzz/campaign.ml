@@ -532,7 +532,7 @@ let init_state ?resume ?on_safe_point ~jobs ~bus ~metrics ctx =
     Array.init jobs (fun _ ->
         Executor.make_ctx ~contract:ctx.x_contract ~gas:config.gas_per_tx
           ~n_senders:config.n_senders ~attacker:config.attacker_enabled
-          ~metrics ())
+          ~comparisons:config.predict ~metrics ())
   in
   let queue, best =
     match snap with

@@ -95,7 +95,8 @@ type ctx = {
   x_gas_hist : Telemetry.Metrics.Local.lhistogram option;
 }
 
-let make_ctx ~contract ~gas ~n_senders ~attacker ?cache ?metrics () =
+let make_ctx ~contract ~gas ~n_senders ~attacker ?(comparisons = true) ?cache
+    ?metrics () =
   let senders = Array.of_list (Accounts.caller_pool n_senders) in
   Evm.Interp.preheat ();
   let local_counter m name help =
@@ -105,8 +106,12 @@ let make_ctx ~contract ~gas ~n_senders ~attacker ?cache ?metrics () =
     x_gas = gas;
     x_senders = senders;
     x_config =
-      (if attacker then Evm.Interp.default_config
-       else { Evm.Interp.default_config with attacker = None });
+      {
+        Evm.Interp.default_config with
+        attacker =
+          (if attacker then Evm.Interp.default_config.attacker else None);
+        comparisons;
+      };
     x_initial_state = initial_state_for ~contract ~n_senders senders;
     x_cache = cache;
     x_txs =

@@ -49,16 +49,19 @@ val make_ctx :
   gas:int ->
   n_senders:int ->
   attacker:bool ->
+  ?comparisons:bool ->
   ?cache:State_cache.t ->
   ?metrics:Telemetry.Metrics.t ->
   unit ->
   ctx
 (** Resolves metric handles (one registry-mutex round trip instead of
     one per execution), memoizes the post-deploy state, pre-faults the
-    interpreter's frame pools ({!Evm.Interp.preheat}). A cache, when
-    given, must be dedicated to this (contract, gas, n_senders,
-    attacker) configuration — and, like the ctx, to one domain at a
-    time. *)
+    interpreter's frame pools ({!Evm.Interp.preheat}).
+    [comparisons] (default [true]) sets {!Evm.Interp.config.comparisons}:
+    pass [false] when no reader wants the branches' comparison records.
+    A cache, when given, must be dedicated to this (contract, gas,
+    n_senders, attacker, comparisons) configuration — and, like the
+    ctx, to one domain at a time. *)
 
 val run_in_ctx : ctx -> Seed.t -> run
 (** Execute one seed: resume from the deepest cached prefix, then run

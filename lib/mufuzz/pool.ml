@@ -136,8 +136,22 @@ let attach ?(bus = Telemetry.Bus.null) ?metrics t =
   t.idle_base <- sum_stalls t;
   Mutex.unlock t.mutex
 
+(* The OCaml 5.1 and 5.2 runtimes run at most 128 domains at once; a
+   pool past that fails in [Domain.spawn] with some of its workers
+   already started. One fixed cap well below the limit, checked before
+   anything is spawned. *)
+let max_jobs = 64
+
+let check_jobs jobs =
+  if jobs > max_jobs then
+    Error (Printf.sprintf "jobs must be at most %d, got %d" max_jobs jobs)
+  else Ok (Stdlib.max 1 jobs)
+
+let valid_jobs jobs =
+  match check_jobs jobs with Ok j -> j | Error msg -> invalid_arg ("Pool: " ^ msg)
+
 let create ?bus ?metrics ~jobs () =
-  let jobs = Stdlib.max 1 jobs in
+  let jobs = valid_jobs jobs in
   let t =
     {
       size = jobs;
@@ -331,7 +345,7 @@ let retire_idle () = Option.iter shutdown (take_idle ())
 let () = at_exit retire_idle
 
 let borrow ?bus ?metrics ~jobs () =
-  let jobs = Stdlib.max 1 jobs in
+  let jobs = valid_jobs jobs in
   match take_idle () with
   | Some t when t.size = jobs ->
     attach ?bus ?metrics t;

@@ -24,9 +24,19 @@
 
 type t
 
+val max_jobs : int
+(** 64: the most worker domains a pool may have, well below the
+    runtime's limit of 128 live domains. *)
+
+val check_jobs : int -> (int, string) result
+(** [check_jobs n] is [Ok (max 1 n)] when [n <= max_jobs], else an
+    error message naming the cap. Every [jobs] setting (the [fuzz] and
+    [serve] command lines, a service submission) is checked with it. *)
+
 val create :
   ?bus:Telemetry.Bus.t -> ?metrics:Telemetry.Metrics.t -> jobs:int -> unit -> t
 (** Spawn [max 1 jobs] worker domains, parked until work arrives.
+    @raise Invalid_argument when [jobs > max_jobs], before spawning any.
     With [bus], every work-stealing event is emitted as
     [Pool_steal {thief; victim}]; with [metrics], workers record
     [mufuzz_pool_tasks_total] and [mufuzz_pool_steals_total] through

@@ -534,14 +534,39 @@ let status_fields t c =
     ("error", match c.phase with Failed e -> J.String e | _ -> J.Null);
   ]
 
+(* A "file" submission is read inside the daemon's single-threaded
+   event loop, so only a bounded regular file may be opened: opening a
+   FIFO for reading blocks until a writer appears, wedging every
+   connection. The stat rejects anything else before it is opened; the
+   non-blocking open and the fstat close the window in which the path
+   could be swapped for a FIFO. *)
+let read_source path =
+  let bad fmt = err Protocol.Bad_request fmt in
+  let check (st : Unix.stats) =
+    if st.st_kind <> Unix.S_REG then bad "%s is not a regular file" path
+    else if st.st_size > Protocol.max_source_bytes then
+      bad "%s is %d bytes, over the %d-byte source limit" path st.st_size
+        Protocol.max_source_bytes
+    else Ok st.st_size
+  in
+  try
+    Result.bind (check (Unix.stat path)) (fun _ ->
+        let fd = Unix.openfile path [ O_RDONLY; O_NONBLOCK; O_CLOEXEC ] 0 in
+        let ic = Unix.in_channel_of_descr fd in
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> Result.map (really_input_string ic) (check (Unix.fstat fd))))
+  with
+  | Unix.Unix_error (e, _, _) -> bad "cannot read %s: %s" path (Unix.error_message e)
+  | Sys_error msg -> bad "cannot read %s" msg
+  | End_of_file -> bad "cannot read %s: the file shrank while being read" path
+
 let submit t (s : Protocol.submit) =
   let ( let* ) = Result.bind in
   let* source =
     match s.sub_source with
     | `Inline src -> Ok src
-    | `File path -> (
-      try Ok (Util.Fileio.read_file path)
-      with Sys_error msg -> err Protocol.Bad_request "cannot read %s" msg)
+    | `File path -> read_source path
   in
   let* contract =
     match compile_source source with
@@ -555,12 +580,13 @@ let submit t (s : Protocol.submit) =
     | None -> err Protocol.Bad_request "unknown tool %S" tool
   in
   let* jobs =
-    match s.sub_jobs with
-    | Some j when j > 1 && t.pool = None ->
+    match Option.map Mufuzz.Pool.check_jobs s.sub_jobs with
+    | Some (Error msg) -> err Protocol.Bad_request "%s" msg
+    | Some (Ok j) when j > 1 && t.pool = None ->
       err Protocol.Bad_request
         "jobs %d requested but the daemon runs without a worker pool (start \
          it with --jobs)" j
-    | Some j -> Ok (Stdlib.max 1 j)
+    | Some (Ok j) -> Ok j
     | None -> Ok 1
   in
   let config =

@@ -11,6 +11,8 @@ let version = 1
 
 let server_name = "mufuzz-serve"
 
+let max_source_bytes = 8 * 1024 * 1024
+
 type error_code =
   | Bad_request
   | Unknown_op

@@ -16,6 +16,12 @@ val version : int
 
 val server_name : string
 
+val max_source_bytes : int
+(** 8 MiB: the longest request line the server buffers (an inline
+    source comfortably fits; anything bigger is a protocol violation,
+    not a submission), and the largest file a ["file"] submission may
+    name. *)
+
 (** Machine-readable failure categories, rendered kebab-case in the
     ["code"] field of error responses. *)
 type error_code =

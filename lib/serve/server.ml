@@ -27,10 +27,6 @@ type t = {
   mutable stopping : bool;
 }
 
-let max_line = 8 * 1024 * 1024
-(* an inline contract source comfortably fits; anything bigger is a
-   protocol violation, not a submission *)
-
 (* ---------------- plumbing ---------------- *)
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -111,7 +107,7 @@ let drain_lines t conn =
     let data = Buffer.contents conn.buf in
     match String.index_opt data '\n' with
     | None ->
-      if Buffer.length conn.buf > max_line then begin
+      if Buffer.length conn.buf > Protocol.max_source_bytes then begin
         ignore
           (send_line conn
              (Protocol.error ~code:Protocol.Bad_request "request line too long"));

@@ -157,8 +157,54 @@ let gen_opcode =
         (1, map (fun n -> Op.PUSH (U.shift_left U.one (abs n mod 256))) small_int);
       ])
 
+(* Selector-dispatcher groups, whole or cut short, so runs of every
+   length (chains need two or more) appear among the random opcodes. *)
+let gen_chunk =
+  QCheck2.Gen.(
+    frequency
+      [
+        (8, map (fun op -> [ op ]) gen_opcode);
+        ( 2,
+          map3
+            (fun c d cut ->
+              let group = [ Op.DUP 1; Op.PUSH (U.of_int c); Op.EQ; Op.PUSH d; Op.JUMPI ] in
+              List.filteri (fun i _ -> i < cut) group)
+            (int_bound 3)
+            (oneofl [ U.of_int 2; U.of_int 40; U.max_value ])
+            (frequency [ (6, return 5); (1, int_range 1 4) ]) );
+        (1, return [ Op.DUP 1 ]);
+      ])
+
 let gen_bytecode =
-  QCheck2.Gen.(map Array.of_list (list_size (int_range 0 80) gen_opcode))
+  QCheck2.Gen.(
+    map (fun chunks -> Array.of_list (List.concat chunks)) (list_size (int_range 0 40) gen_chunk))
+
+(* The naive chain table: pc [p] starts a chain when a group sits at
+   [p], none at [p - 5], and another at [p + 5]. *)
+let naive_chains code =
+  let n = Array.length code in
+  let group p =
+    p >= 0 && p + 4 < n
+    &&
+    match (code.(p), code.(p + 1), code.(p + 2), code.(p + 3), code.(p + 4)) with
+    | Op.DUP 1, Op.PUSH _, Op.EQ, Op.PUSH _, Op.JUMPI -> true
+    | _ -> false
+  in
+  let operand p = match code.(p) with Op.PUSH v -> v | _ -> assert false in
+  List.filter_map
+    (fun p ->
+      if group p && (not (group (p - 5))) && group (p + 5) then begin
+        let rec run q = if group q then q :: run (q + 5) else [] in
+        let groups = run p in
+        Some
+          ( p,
+            List.map (fun q -> operand (q + 1)) groups,
+            List.map
+              (fun q -> match U.to_int_opt (operand (q + 3)) with Some d -> d | None -> -1)
+              groups )
+      end
+      else None)
+    (List.init n Fun.id)
 
 let print_bytecode = Evm.Bytecode.to_listing
 
@@ -176,7 +222,22 @@ let artifact_agrees =
            && (not (Evm.Bytecode.is_jumpdest art (-1)))
            && not (Evm.Bytecode.is_jumpdest art (Array.length code))
          in
-         jd_ok
+         let chains = naive_chains code in
+         let chains_ok =
+           List.map
+             (fun (ch : Evm.Bytecode.chain) ->
+               (ch.ch_start, Array.to_list ch.ch_consts, Array.to_list ch.ch_dests))
+             (Array.to_list art.a_chains)
+           = chains
+           && List.for_all
+                (fun pc ->
+                  let i = Evm.Bytecode.find_chain art pc in
+                  match List.find_index (fun (s, _, _) -> s = pc) chains with
+                  | Some k -> i = k
+                  | None -> i = -1)
+                (List.init (Array.length code + 2) (fun pc -> pc - 1))
+         in
+         jd_ok && chains_ok
          && art.a_byte_size = Evm.Bytecode.byte_size code
          && Array.to_list art.a_push_constants = Evm.Bytecode.push_constants code))
 

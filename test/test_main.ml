@@ -8,4 +8,4 @@ let () =
     @ Test_differential.suite @ Test_triage.suite @ Test_hotloop.suite
     @ Test_golden.suite @ Test_persist.suite @ Test_batch.suite @ Test_serve.suite
     @ Test_predict.suite @ Test_maskplan.suite @ Test_fleet.suite
-    @ Test_decode.suite)
+    @ Test_decode.suite @ Test_dispatch.suite)

@@ -138,6 +138,25 @@ let pool_tests =
     unit "jobs are clamped to >= 1" (fun () ->
         Mufuzz.Pool.with_pool ~jobs:0 (fun p ->
             Alcotest.(check int) "size" 1 (Mufuzz.Pool.size p)));
+    unit "jobs above the cap are refused before any domain starts" (fun () ->
+        let cap = Mufuzz.Pool.max_jobs in
+        Alcotest.(check bool) "below the runtime's 128 domains" true (cap < 128);
+        Alcotest.(check (result int string)) "at the cap" (Ok cap)
+          (Mufuzz.Pool.check_jobs cap);
+        Alcotest.(check (result int string)) "clamped up" (Ok 1)
+          (Mufuzz.Pool.check_jobs 0);
+        Alcotest.(check (result int string)) "over the cap"
+          (Error (Printf.sprintf "jobs must be at most %d, got %d" cap (cap + 1)))
+          (Mufuzz.Pool.check_jobs (cap + 1));
+        let refused f =
+          match f () with
+          | exception Invalid_argument _ -> true
+          | _ -> false
+        in
+        Alcotest.(check bool) "create" true
+          (refused (fun () -> Mufuzz.Pool.create ~jobs:(cap + 1) ()));
+        Alcotest.(check bool) "with_borrowed" true
+          (refused (fun () -> Mufuzz.Pool.with_borrowed ~jobs:max_int ignore)));
     unit "run_batch returns results in submission order" (fun () ->
         Mufuzz.Pool.with_pool ~jobs:3 (fun p ->
             let tasks = Array.init 23 (fun i _worker -> i * i) in

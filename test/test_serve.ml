@@ -258,6 +258,64 @@ let cancel_tests =
         let t = engine () in
         expect_error Protocol.Unknown_id (Engine.status t "c9999");
         expect_error Protocol.Unknown_id (Engine.cancel t "c9999"));
+    unit "a FIFO source path is rejected without blocking" (fun () ->
+        let fifo = Filename.concat (temp_dir ()) "source.fifo" in
+        Unix.mkfifo fifo 0o600;
+        let returned = Atomic.make false in
+        (* a daemon that opens the path blocks until a writer appears:
+           after a grace period this helper becomes that writer, so the
+           test fails instead of hanging *)
+        let helper =
+          Domain.spawn (fun () ->
+              let deadline = Unix.gettimeofday () +. 2.0 in
+              while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
+                Unix.sleepf 0.01
+              done;
+              if not (Atomic.get returned) then
+                match Unix.openfile fifo [ O_WRONLY; O_NONBLOCK ] 0 with
+                | fd -> Unix.close fd
+                | exception Unix.Unix_error _ -> ())
+        in
+        let t = engine () in
+        let t0 = Unix.gettimeofday () in
+        let r = Engine.submit t { (submission "") with sub_source = `File fifo } in
+        let elapsed = Unix.gettimeofday () -. t0 in
+        Atomic.set returned true;
+        Domain.join helper;
+        Alcotest.(check bool) "returned before the helper's writer" true (elapsed < 1.0);
+        expect_error Protocol.Bad_request r;
+        Alcotest.(check bool) "nothing queued" false (Engine.has_runnable t));
+    unit "source files that are not small regular files are rejected" (fun () ->
+        let dir = temp_dir () in
+        (* a contract that compiles, padded past the cap *)
+        let big = Filename.concat dir "big.sol" in
+        Util.Fileio.write_atomic big
+          (Corpus.Examples.crowdsale ^ String.make Protocol.max_source_bytes ' ');
+        let t = engine () in
+        List.iter
+          (fun path ->
+            expect_error Protocol.Bad_request
+              (Engine.submit t { (submission "") with sub_source = `File path }))
+          [ big; dir; Filename.concat dir "missing.sol" ];
+        Alcotest.(check bool) "nothing queued" false (Engine.has_runnable t));
+    unit "a regular source file is read" (fun () ->
+        let path = Filename.concat (temp_dir ()) "c.sol" in
+        Util.Fileio.write_atomic path Corpus.Examples.crowdsale;
+        let t = engine () in
+        ignore (submit_ok t { (submission "") with sub_source = `File path }));
+    unit "jobs above the pool cap are a bad request" (fun () ->
+        let t = engine () in
+        match
+          Engine.submit t
+            { (submission Corpus.Examples.crowdsale) with
+              sub_jobs = Some (Mufuzz.Pool.max_jobs + 1) }
+        with
+        | Error (Protocol.Bad_request, msg) ->
+          Alcotest.(check string) "names the cap"
+            (Printf.sprintf "jobs must be at most %d, got %d" Mufuzz.Pool.max_jobs
+               (Mufuzz.Pool.max_jobs + 1))
+            msg
+        | _ -> Alcotest.fail "expected a bad request");
     unit "uncompilable source is rejected at submit" (fun () ->
         let t = engine () in
         expect_error Protocol.Bad_request
