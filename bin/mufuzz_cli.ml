@@ -549,7 +549,8 @@ let exec_cmd =
     let st, trace = call st fn_name vals (Word.U256.of_decimal_string value) in
     Printf.printf "status: %s, gas used: %d\n" (Evm.Trace.status_to_string trace.status)
       trace.gas_used;
-    List.iter (fun e -> Format.printf "  %a@." Evm.Trace.pp_event e) trace.events;
+    List.iter (fun e -> Format.printf "  %a@." Evm.Trace.pp_event e)
+      (Evm.Trace.expand trace.events);
     Printf.printf "storage after:\n";
     List.iter
       (fun (k, v) ->

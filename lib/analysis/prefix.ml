@@ -16,7 +16,7 @@ let is_vulnerable_event (e : Evm.Trace.event) =
   | External_call _ | Selfdestruct _ | Block_state_use _ | Balance_compare _
   | Origin_use _ | Arith_overflow _ | Value_transfer_out _ ->
     true
-  | Branch _ | Storage_write _ | Storage_read _ | Call_result_checked _
+  | Branch _ | Dispatch _ | Storage_write _ | Storage_read _ | Call_result_checked _
   | Invalid_reached _ | Revert_reached _ | Reentrant_call _ | Log _ ->
     false
 
@@ -29,7 +29,7 @@ let analyze_trace ?(params = default_params) cfg (trace : Evm.Trace.t) =
   (* Walk the path once; for each branch event record its prefix nesting
      count, then in a second pass check whether a vulnerable event follows
      it (Algorithm 3's ISVULNERABLEINSTRUCTREACHED on the exercised path). *)
-  let events = Array.of_list trace.events in
+  let events = Array.of_list (Evm.Trace.expand trace.events) in
   let n = Array.length events in
   let vulnerable_after = Array.make (n + 1) false in
   for i = n - 1 downto 0 do

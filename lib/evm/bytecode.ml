@@ -27,8 +27,9 @@ let to_listing code = Format.asprintf "%a" pp code
    instead of once per frame. [jumpdests] above builds a hash table on
    every call — in the original interpreter this happened on every
    [exec_frame], i.e. on every transaction AND every subcall. The
-   artifact replaces the table with a [bool array] (branch-free indexed
-   load) and caches [byte_size] and the push-constant dictionary. *)
+   artifact replaces the table with a bitmap (one bit per instruction,
+   an indexed load and a mask) and caches [byte_size] and the
+   push-constant dictionary. *)
 
 type chain = {
   ch_start : int;
@@ -38,13 +39,18 @@ type chain = {
 
 type artifact = {
   a_code : t;
-  a_jumpdest : bool array;  (* a_jumpdest.(pc) = pc is a valid JUMPDEST *)
+  a_jumpdest : Bytes.t;  (* bit [pc land 7] of byte [pc lsr 3]: pc is a JUMPDEST *)
   a_byte_size : int;
   a_push_constants : Word.U256.t array;
   a_chains : chain array;  (* sorted by [ch_start] *)
 }
 
-let is_jumpdest art pc = pc >= 0 && pc < Array.length art.a_jumpdest && art.a_jumpdest.(pc)
+(* Bits past the last instruction are clear, so the bound is the
+   bitmap's, not the code's. Inlined: every JUMP and JUMPI asks. *)
+let[@inline] is_jumpdest art pc =
+  pc >= 0
+  && pc lsr 3 < Bytes.length art.a_jumpdest
+  && Char.code (Bytes.unsafe_get art.a_jumpdest (pc lsr 3)) land (1 lsl (pc land 7)) <> 0
 
 (* Selector-dispatcher chains. Minisol's dispatcher is one
    [DUP 1; PUSH c; EQ; PUSH d; JUMPI] group per external function, and
@@ -138,9 +144,13 @@ let push_constants code =
   |> List.sort Word.U256.compare
 
 let decode code =
-  let n = Array.length code in
-  let jd = Array.make n false in
-  Array.iteri (fun i op -> if op = Opcode.JUMPDEST then jd.(i) <- true) code;
+  let jd = Bytes.make ((Array.length code + 7) / 8) '\000' in
+  Array.iteri
+    (fun i op ->
+      if op = Opcode.JUMPDEST then
+        Bytes.set jd (i lsr 3)
+          (Char.chr (Char.code (Bytes.get jd (i lsr 3)) lor (1 lsl (i land 7)))))
+    code;
   {
     a_code = code;
     a_jumpdest = jd;

@@ -24,7 +24,7 @@ val push_constants : t -> Word.U256.t list
 
     Everything the interpreter's hot loop needs that is a pure function
     of the bytecode, computed once per program instead of once per
-    frame: the jumpdest table as a [bool array], the canonical byte
+    frame: the jumpdest table as a bitmap, the canonical byte
     size, the push-constant dictionary, and the selector-dispatcher
     chains. *)
 
@@ -42,14 +42,18 @@ type chain = private {
 
 type artifact = private {
   a_code : t;
-  a_jumpdest : bool array;
+  a_jumpdest : Bytes.t;
+      (** one bit per instruction, [pc land 7] of byte [pc lsr 3], set
+          for a [JUMPDEST]; [(n + 7) / 8] bytes for [n] instructions,
+          bits past the last instruction clear. Read it through
+          {!is_jumpdest}. *)
   a_byte_size : int;
   a_push_constants : Word.U256.t array;
   a_chains : chain array;  (** sorted by [ch_start] *)
 }
 
 val decode : t -> artifact
-(** Pure: computes the artifact from scratch. [a_jumpdest.(pc)] agrees
+(** Pure: computes the artifact from scratch. [is_jumpdest] agrees
     with [jumpdests] membership, [a_byte_size] with [byte_size], and
     [a_push_constants] with [push_constants] (same order). [a_chains]
     lists every maximal group run of length [>= 2], found in one pass. *)

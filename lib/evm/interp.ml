@@ -292,14 +292,14 @@ let to_offset cell =
 (* The selector-dispatcher fast path. At the first [DUP 1] of a
    {!Bytecode.chain} (already charged and counted), resolve the whole run
    of [DUP 1; PUSH c; EQ; PUSH d; JUMPI] groups at once: find the first
-   [c] equal to the selector on top of the stack, emitting each passed
-   group's [Branch] exactly as the JUMPI would, and charging each
-   group's 22 gas and 5 steps. [chain_applies] admits only the cases
-   where that is provably what interpreting the groups one by one
-   gives: no stack overflow (the groups push two cells above [sp]), no
-   out-of-gas inside the run, and a selector whose comparison and
-   branch emit nothing but the [Branch] (no call-status check, no
-   block / origin / balance use, no caller guard). *)
+   [c] equal to the selector on top of the stack, emitting one
+   [Dispatch] for the groups passed, and charging each group's 22 gas
+   and 5 steps. [chain_applies] admits only the cases where that is
+   provably what interpreting the groups one by one gives: no stack
+   overflow (the groups push two cells above [sp]), no out-of-gas
+   inside the run, and a selector whose comparison and branch emit
+   nothing but the branch (no call-status check, no block / origin /
+   balance use, no caller guard). *)
 
 let group_gas = 22
 
@@ -312,45 +312,32 @@ let chain_applies ctx fr (ch : Bytecode.chain) =
   let sel = fr.stk.(fr.sp - 1) in
   sel.call_site = None && sel.taint land side_effect_taints = 0
 
-(* Runs [ch] from just after its first [DUP 1]; returns the next pc. *)
+(* The first group [>= k] whose constant is [v], or the group count.
+   Top-level, so a lookup allocates no closure. *)
+let rec first_equal consts v k =
+  if k = Array.length consts || U.equal consts.(k) v then k
+  else first_equal consts v (k + 1)
+
+(* Runs [ch] from just after its first [DUP 1]; returns the next pc.
+   The passed groups' [Branch] events are one [Dispatch], which
+   {!Trace.expand} turns back into them. *)
 let run_chain ctx fr art (ch : Bytecode.chain) =
   let sel = fr.stk.(fr.sp - 1) in
-  let groups = Array.length ch.ch_consts in
-  let pass k =
-    ctx.gas <- ctx.gas - ((group_gas * k) - 3);
-    ctx.steps <- ctx.steps + (5 * k) - 1
-  in
-  let rec go k =
-    if k = groups then begin
-      pass groups;
-      ch.ch_start + (5 * groups)
-    end
-    else begin
-      let c = ch.ch_consts.(k) in
-      let taken = U.equal c sel.v in
-      let jumpi_pc = ch.ch_start + (5 * k) + 4 in
-      let cmp =
-        if ctx.cfg.comparisons then
-          Some
-            { Trace.cmp_pc = jumpi_pc - 2; cmp_op = Ceq; lhs = c; rhs = sel.v;
-              lhs_taint = T.none; rhs_taint = sel.taint; negated = false }
-        else None
-      in
-      emit ctx
-        (Branch
-           { pc = jumpi_pc; taken;
-             dist_to_flip =
-               (if taken then 1.0 else U.to_float_abs_difference c sel.v);
-             cond_taint = sel.taint; cmp });
-      if taken then begin
-        pass (k + 1);
-        let d = ch.ch_dests.(k) in
-        if Bytecode.is_jumpdest art d then d else raise (Halted H_badjump)
-      end
-      else go (k + 1)
-    end
-  in
-  go 0
+  let consts = ch.ch_consts in
+  let groups = Array.length consts in
+  let k = first_equal consts sel.v 0 in
+  let hit = k < groups in
+  let passed = if hit then k + 1 else groups in
+  emit ctx
+    (Dispatch
+       { pc = ch.ch_start; consts; passed; hit; sel = sel.v; sel_taint = sel.taint;
+         cmps = ctx.cfg.comparisons });
+  ctx.gas <- ctx.gas - ((group_gas * passed) - 3);
+  ctx.steps <- ctx.steps + (5 * passed) - 1;
+  if not hit then ch.ch_start + (5 * groups)
+  else
+    let d = ch.ch_dests.(k) in
+    if Bytecode.is_jumpdest art d then d else raise (Halted H_badjump)
 
 (* One call frame. [code_addr] supplies the bytecode, [storage_addr] the
    storage context (they differ under DELEGATECALL). Returns the frame's
@@ -875,7 +862,9 @@ let execute ?(config = default_config) ~block ~state (msg : msg) =
       Trace.status;
       events = List.rev ctx.events_rev;
       return_data;
-      gas_used = ctx.gas_limit - ctx.gas;
+      (* an out-of-gas charge leaves [gas] negative; the EVM consumes
+         exactly the limit *)
+      gas_used = ctx.gas_limit - Stdlib.max ctx.gas 0;
       steps = ctx.steps;
     }
   in

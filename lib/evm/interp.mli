@@ -6,6 +6,8 @@
 
     - every [JUMPI] emits a branch event carrying the sFuzz-style branch
       distance of the side not taken (§IV-B, branch distance feedback);
+      a selector-dispatcher chain resolved in one step emits one
+      [Dispatch] standing for its groups' branch events;
     - stack values carry taint flags so the §IV-D bug oracles can see
       block state, balances, [msg.sender], [tx.origin], calldata and call
       results flowing into sinks;
@@ -42,8 +44,9 @@ type config = {
   max_reentries : int;  (** attacker reentry budget per transaction *)
   comparisons : bool;
       (** build the {!Trace.comparison} records that input prediction
-          reads; when [false], every [Branch]'s [cmp] is [None] and the
-          trace is otherwise identical *)
+          reads; when [false], every [Branch]'s [cmp] is [None], every
+          [Dispatch]'s [cmps] is [false], and the expanded trace is
+          otherwise identical *)
 }
 
 val default_config : config

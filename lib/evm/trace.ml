@@ -71,8 +71,54 @@ type event =
   | Revert_reached of { pc : int }
   | Reentrant_call of { pc : int }
   | Log of { pc : int; topics : Word.U256.t list }
+  | Dispatch of { pc : int; consts : Word.U256.t array; passed : int; hit : bool;
+                  sel : Word.U256.t; sel_taint : Taint.t; cmps : bool }
 
-let pp_event fmt = function
+(* Group [j] of a dispatch: its JUMPI's pc, whether that JUMPI was
+   taken, and its distance to the other side. A taken group's EQ held,
+   so [cmp_dist] gives the "make it false" cost 1; a passed one's is the
+   gap between its constant and the selector. *)
+let[@inline] group_pc pc j = pc + (5 * j) + 4
+let[@inline] group_taken ~passed ~hit j = hit && j = passed - 1
+
+let group_dist consts sel ~taken j =
+  if taken then 1.0 else Word.U256.to_float_abs_difference consts.(j) sel
+
+(* Pushes the dispatch's [Branch] events onto [acc], last group on top. *)
+let rev_dispatch_branches pc consts passed hit sel sel_taint cmps acc =
+  let acc = ref acc in
+  for j = 0 to passed - 1 do
+    let jumpi = group_pc pc j and taken = group_taken ~passed ~hit j in
+    let cmp =
+      if cmps then
+        Some
+          { cmp_pc = jumpi - 2; cmp_op = Ceq; lhs = consts.(j); rhs = sel;
+            lhs_taint = Taint.none; rhs_taint = sel_taint; negated = false }
+      else None
+    in
+    acc :=
+      Branch
+        { pc = jumpi; taken; dist_to_flip = group_dist consts sel ~taken j;
+          cond_taint = sel_taint; cmp }
+      :: !acc
+  done;
+  !acc
+
+let expand events =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | Dispatch { pc; consts; passed; hit; sel; sel_taint; cmps } :: rest ->
+      go (rev_dispatch_branches pc consts passed hit sel sel_taint cmps acc) rest
+    | e :: rest -> go (e :: acc) rest
+  in
+  if List.exists (function Dispatch _ -> true | _ -> false) events then go [] events
+  else events
+
+let rec pp_event fmt = function
+  | Dispatch _ as e ->
+    Format.pp_print_list
+      ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
+      pp_event fmt (expand [ e ])
   | Branch { pc; taken; dist_to_flip; _ } ->
     Format.fprintf fmt "Branch(pc=%d, taken=%b, flip=%g)" pc taken dist_to_flip
   | Storage_write { slot; value; pc; after_external_call } ->
@@ -137,4 +183,4 @@ let succeeded t = t.status = Success
 let branches t =
   List.filter_map
     (function Branch { pc; taken; _ } -> Some (pc, taken) | _ -> None)
-    t.events
+    (expand t.events)

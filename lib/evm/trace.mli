@@ -104,8 +104,45 @@ type event =
       (** the simulated attacker re-entered the contract *)
   | Log of { pc : int; topics : Word.U256.t list }
       (** an event emission (LOGn) *)
+  | Dispatch of {
+      pc : int;  (** instruction index of the chain's first [DUP 1] *)
+      consts : Word.U256.t array;
+          (** the chain's compared constants, group by group — the
+              {!Bytecode.chain}'s own array, shared, never copied *)
+      passed : int;  (** groups evaluated, at least one *)
+      hit : bool;  (** the last evaluated group's [JUMPI] was taken *)
+      sel : Word.U256.t;  (** the selector word every group compared *)
+      sel_taint : Taint.t;
+      cmps : bool;  (** comparison records were on *)
+    }
+      (** A selector-dispatcher chain resolved in one step: it stands for
+          one [Branch] per evaluated group, exactly the events
+          {!expand} returns. Consumers that only count or walk branches
+          can fold it directly with {!group_pc}, {!group_taken} and
+          {!group_dist}; everything else reads the expansion. *)
+
+val expand : event list -> event list
+(** Replaces each [Dispatch] by its groups' [Branch] events, in order,
+    leaving every other event in place. Group [j] of a dispatch at [pc]
+    is the [Branch] its [JUMPI] would have emitted: pc [group_pc pc j],
+    taken only for the last group when [hit], distance
+    [group_dist consts sel ~taken j], taint [sel_taint], and, when
+    [cmps], the [Ceq] comparison of [consts.(j)] (lhs, untainted) with
+    [sel] (rhs) at the group's [EQ], [pc - 2]. A list without a
+    [Dispatch] is returned as is. *)
+
+val group_pc : int -> int -> int
+(** [group_pc pc j]: the [JUMPI] of group [j] of the chain at [pc]. *)
+
+val group_taken : passed:int -> hit:bool -> int -> bool
+
+val group_dist : Word.U256.t array -> Word.U256.t -> taken:bool -> int -> float
+(** Group [j]'s [dist_to_flip]: [1.0] when taken (an [EQ] that holds),
+    otherwise the absolute difference of [consts.(j)] and the
+    selector. *)
 
 val pp_event : Format.formatter -> event -> unit
+(** A [Dispatch] prints as its expansion, separated by ["; "]. *)
 
 type status =
   | Success
@@ -130,5 +167,5 @@ type t = {
 val succeeded : t -> bool
 
 val branches : t -> (int * bool) list
-(** Branch identities [(pc, taken)] in order — the paper's basic-block
-    transition coverage unit. *)
+(** Branch identities [(pc, taken)] in order, dispatches expanded — the
+    paper's basic-block transition coverage unit. *)

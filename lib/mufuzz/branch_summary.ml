@@ -199,13 +199,22 @@ let visit b ord k d =
 (* One transaction's events; [ord] counts its JUMPIs so far. Distances
    keep the first minimum ([<=] holds the incumbent) and weights the
    first maximum ([>=]), the tie rules of the per-event folds they
-   replace. *)
+   replace. A dispatch visits its groups in order, as the [Branch]
+   events of its expansion would, without building them. *)
 let rec fold_events b ord (evs : Evm.Trace.event list) =
   match evs with
   | [] -> if b.weighing then settle b ~vulnerable:false
   | Branch { pc; taken; dist_to_flip; _ } :: rest ->
     visit b (ord + 1) (side pc taken) dist_to_flip;
     fold_events b (ord + 1) rest
+  | Dispatch { pc; consts; passed; hit; sel; _ } :: rest ->
+    for j = 0 to passed - 1 do
+      let taken = Evm.Trace.group_taken ~passed ~hit j in
+      visit b (ord + j + 1)
+        (side (Evm.Trace.group_pc pc j) taken)
+        (Evm.Trace.group_dist consts sel ~taken j)
+    done;
+    fold_events b (ord + passed) rest
   | ev :: rest ->
     if b.weighing && Analysis.Prefix.is_vulnerable_event ev then
       settle b ~vulnerable:true;

@@ -59,17 +59,31 @@ let mask_feedback ~baseline_nested ~baseline_dists =
    e.g. EF) use the empty path.
 
    A campaign raises the same alarms on nearly every execution but
-   through few distinct call paths, so [path_hashes] memoises the Keccak
-   path digest per call path. It belongs to one campaign's coordinator;
-   a global table would be shared across domains. *)
-let path_digest path_hashes (seed : Seed.t) ~tx_index =
-  let call_path = Seed.call_path seed ~upto:tx_index in
-  match Hashtbl.find_opt path_hashes call_path with
-  | Some h -> h
+   through few distinct call paths, so the Keccak path digests live in a
+   trie of function names, the root being the empty path: a node
+   computes its digest the first time an alarm needs it and keeps it.
+   The trie belongs to one campaign's coordinator; a global one would be
+   shared across domains. *)
+type path_node = {
+  pn_name : string;  (* the last function of the path; "" at the root *)
+  pn_rev : string list;  (* the path, last function first *)
+  mutable pn_hash : string;  (* "" until first asked; a digest is never "" *)
+  mutable pn_kids : path_node list;
+}
+
+let path_root () = { pn_name = ""; pn_rev = []; pn_hash = ""; pn_kids = [] }
+
+let path_child node name =
+  match List.find_opt (fun k -> String.equal k.pn_name name) node.pn_kids with
+  | Some k -> k
   | None ->
-    let h = Oracles.Oracle.path_hash call_path in
-    Hashtbl.add path_hashes call_path h;
-    h
+    let k = { pn_name = name; pn_rev = name :: node.pn_rev; pn_hash = ""; pn_kids = [] } in
+    node.pn_kids <- k :: node.pn_kids;
+    k
+
+let path_digest node =
+  if node.pn_hash = "" then node.pn_hash <- Oracles.Oracle.path_hash (List.rev node.pn_rev);
+  node.pn_hash
 
 let sorted_occurrences occ =
   Hashtbl.fold (fun k n acc -> (k, n) :: acc) occ []
@@ -397,7 +411,7 @@ let comparison_for_branch (results : Executor.tx_result list) (pc, want) =
             when p = pc && taken = not want ->
             Some (r.tx_index, c)
           | _ -> None)
-        r.trace.Evm.Trace.events)
+        (Evm.Trace.expand r.trace.Evm.Trace.events))
     results
 
 (* Proposal seeds for flipping frontier side [want] of the comparison
@@ -488,7 +502,7 @@ type state = {
   coverage : Coverage.t;
   findings_tbl : (Oracles.Oracle.bug_class * int, unit) Hashtbl.t;
   occ : (Oracles.Oracle.key, int) Hashtbl.t;
-  path_hashes : (string list, string) Hashtbl.t;
+  paths : path_node;  (* the call-path trie's root *)
   attempts : (int * bool, int) Hashtbl.t;
   weights : (int * bool, float) Hashtbl.t option;  (* None: flat energy *)
   best : (int * bool, float * entry) Hashtbl.t;  (* the distance pool *)
@@ -555,7 +569,7 @@ let init_state ?resume ?on_safe_point ~jobs ~bus ~metrics ctx =
       coverage = restored (fun s -> Coverage.copy s.sn_coverage) (Coverage.create ());
       findings_tbl = Hashtbl.create 16;
       occ = Hashtbl.create 32;
-      path_hashes = Hashtbl.create 16;
+      paths = path_root ();
       attempts = Hashtbl.create 64;
       weights = (if config.dynamic_energy then Some (Hashtbl.create 64) else None);
       best;
@@ -684,15 +698,39 @@ let checkpoint st =
     { Report.execs = st.execs; covered = Coverage.covered_count st.coverage }
     :: st.over_time
 
-(* The oracles report alarms grouped by raising transaction, so the
-   call-path digest is taken once per group, not once per alarm. *)
+(* The oracles report alarms grouped by raising transaction, in
+   transaction order, so the call-path digest is taken once per group,
+   by a cursor that walks [seed]'s transactions down the trie once per
+   call: [node] is the path of the transactions before [rest], the last
+   of them [at]. An index behind the cursor starts it over; one past the
+   seed's end stays at its whole path, as a prefix would. *)
 let note_findings st seed fs =
+  let node = ref st.paths and at = ref (-1) and rest = ref seed.Seed.txs in
   let group_tx = ref min_int and group_path = ref "" in
   List.iter
     (fun (f : Oracles.Oracle.finding) ->
       if f.tx_index <> !group_tx then begin
         group_tx := f.tx_index;
-        group_path := path_digest st.path_hashes seed ~tx_index:f.tx_index
+        group_path :=
+          if f.tx_index < 0 then path_digest st.paths
+          else begin
+            if f.tx_index < !at then begin
+              node := st.paths;
+              at := -1;
+              rest := seed.txs
+            end;
+            let rec advance () =
+              match !rest with
+              | (tx : Seed.tx) :: tl when !at < f.tx_index ->
+                node := path_child !node tx.fn.Abi.name;
+                rest := tl;
+                incr at;
+                advance ()
+              | _ -> ()
+            in
+            advance ();
+            path_digest !node
+          end
       end;
       let tkey = { Oracles.Oracle.k_cls = f.cls; k_pc = f.pc; k_path = !group_path } in
       Hashtbl.replace st.occ tkey

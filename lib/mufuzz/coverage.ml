@@ -21,25 +21,43 @@ let create () = { hits = Tbl.create 256; dists = Tbl.create 256 }
 
 let is_covered t (pc, taken) = Tbl.mem t.hits (key pc taken)
 
+(* One branch event; true when its side is newly covered. *)
+let record_branch t pc taken dist_to_flip =
+  let k = key pc taken in
+  let fresh =
+    match Tbl.find_opt t.hits k with
+    | Some n ->
+      Tbl.replace t.hits k (n + 1);
+      false
+    | None ->
+      Tbl.replace t.hits k 1;
+      Tbl.remove t.dists k;
+      true
+  in
+  let flip = k lxor 1 in
+  if not (Tbl.mem t.hits flip) then begin
+    match Tbl.find_opt t.dists flip with
+    | Some d when d <= dist_to_flip -> ()
+    | _ -> Tbl.replace t.dists flip dist_to_flip
+  end;
+  fresh
+
+(* A dispatch records its groups in order, as its expansion would. *)
 let record t (trace : Evm.Trace.t) =
   let fresh = ref false in
   List.iter
     (fun ev ->
       match ev with
       | Evm.Trace.Branch { pc; taken; dist_to_flip; _ } ->
-        let k = key pc taken in
-        (match Tbl.find_opt t.hits k with
-        | Some n -> Tbl.replace t.hits k (n + 1)
-        | None ->
-          Tbl.replace t.hits k 1;
-          fresh := true;
-          Tbl.remove t.dists k);
-        let flip = k lxor 1 in
-        if not (Tbl.mem t.hits flip) then begin
-          match Tbl.find_opt t.dists flip with
-          | Some d when d <= dist_to_flip -> ()
-          | _ -> Tbl.replace t.dists flip dist_to_flip
-        end
+        if record_branch t pc taken dist_to_flip then fresh := true
+      | Dispatch { pc; consts; passed; hit; sel; _ } ->
+        for j = 0 to passed - 1 do
+          let taken = Evm.Trace.group_taken ~passed ~hit j in
+          if
+            record_branch t (Evm.Trace.group_pc pc j) taken
+              (Evm.Trace.group_dist consts sel ~taken j)
+          then fresh := true
+        done
       | _ -> ())
     trace.events;
   !fresh

@@ -111,7 +111,7 @@ let inspect_trace ~static ~tx_index ~tx_success (trace : T.t) =
             (Printf.sprintf "state written at pc=%d after reentrant-capable call" pc)
         | _ -> ()
       end
-      | T.Branch _ | T.Storage_read _ | T.Call_result_checked _
+      | T.Branch _ | T.Dispatch _ | T.Storage_read _ | T.Call_result_checked _
       | T.Invalid_reached _ | T.Revert_reached _ -> ()
       (* a reentry on its own is not a bug: the RE verdict needs the
          state-write-after-call pattern above, which the reentry merely

@@ -433,8 +433,17 @@ let to_float_sub a b =
     (if w1 then Int64.pred t2 else t2)
     (if w2 then Int64.pred t3 else t3)
 
+(* Both operands in one limb (every selector comparison): the difference
+   is one limb too, and [float_of_limbs d 0 0 0] only adds zeros to
+   [u64_to_float d], so returning that is bit-identical. *)
 let to_float_abs_difference a b =
-  if ge a b then to_float_sub a b else to_float_sub b a
+  if Int64.equal (Int64.logor (Int64.logor a.l1 a.l2) a.l3) 0L
+     && Int64.equal (Int64.logor (Int64.logor b.l1 b.l2) b.l3) 0L
+  then
+    u64_to_float
+      (if ult a.l0 b.l0 then Int64.sub b.l0 a.l0 else Int64.sub a.l0 b.l0)
+  else if ge a b then to_float_sub a b
+  else to_float_sub b a
 
 let to_decimal_string a =
   if is_zero a then "0"

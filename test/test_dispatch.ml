@@ -276,6 +276,14 @@ let gen_case =
   let+ comparisons = bool in
   { consts; dests; source; sel; depth; gas_delta; comparisons }
 
+(* The fast path's guards, restated: the selector carries no
+   side-effect taint and no call status, the two cells a group pushes
+   fit on the stack, and the gas left after the first DUP 1 covers
+   every group. *)
+let resolved c =
+  (match c.source with Pure | Calldata -> true | _ -> false)
+  && depth_of c <= 1022 && c.gas_delta >= 0
+
 let agrees c =
   let pre, code, start = layout c in
   (* the prelude's own events, steps and gas: run it alone, then STOP *)
@@ -284,18 +292,27 @@ let agrees c =
   let gas = alone.gas_used + entry_gas in
   let got = execute c ~gas code in
   let status, events, steps, left = model c ~code ~start ~gas:entry_gas in
+  let dispatches =
+    List.length
+      (List.filter (function Evm.Trace.Dispatch _ -> true | _ -> false) got.events)
+  in
+  (* the model's gas goes negative on an out-of-gas; the EVM consumes
+     exactly the limit *)
+  let used = gas - Stdlib.max left 0 in
   let ok =
     got.status = status
-    && got.events = alone.events @ events
+    && Evm.Trace.expand got.events = alone.events @ events
+    && dispatches = (if resolved c then 1 else 0)
     && got.steps = alone.steps - 1 + steps
-    && got.gas_used = gas - left
+    && got.gas_used = used
   in
   if not ok then
     QCheck2.Test.fail_reportf
-      "interpreter: %s, %d steps, %d gas, events:@.%a@.model: %s, %d steps, %d gas, events:@.%a"
-      (Evm.Trace.status_to_string got.status) got.steps got.gas_used
-      (Format.pp_print_list Evm.Trace.pp_event) got.events
-      (Evm.Trace.status_to_string status) (alone.steps - 1 + steps) (gas - left)
+      "interpreter: %s, %d steps, %d gas, %d dispatches, events:@.%a@.model: %s, %d \
+       steps, %d gas, events:@.%a"
+      (Evm.Trace.status_to_string got.status) got.steps got.gas_used dispatches
+      (Format.pp_print_list Evm.Trace.pp_event) (Evm.Trace.expand got.events)
+      (Evm.Trace.status_to_string status) (alone.steps - 1 + steps) used
       (Format.pp_print_list Evm.Trace.pp_event) (alone.events @ events);
   true
 
@@ -340,6 +357,8 @@ let pinned =
 
 (* ---------------- comparison-record gate ---------------- *)
 
+let expanded (t : Evm.Trace.t) = { t with events = Evm.Trace.expand t.events }
+
 let erase_cmp (t : Evm.Trace.t) =
   {
     t with
@@ -348,7 +367,7 @@ let erase_cmp (t : Evm.Trace.t) =
         (function
           | Evm.Trace.Branch b -> Evm.Trace.Branch { b with cmp = None }
           | e -> e)
-        t.events;
+        (Evm.Trace.expand t.events);
   }
 
 (* Every example contract, a few random sequences each: the trace
@@ -381,14 +400,14 @@ let comparisons_gate =
                   (function
                     | Evm.Trace.Branch { cmp = Some _; _ } -> incr branches_with_cmp
                     | Evm.Trace.Branch { cmp = None; _ } | _ -> ())
-                  a.trace.events;
+                  (Evm.Trace.expand a.trace.events);
                 List.iter
                   (function
                     | Evm.Trace.Branch { cmp = Some _; _ } ->
                       Alcotest.failf "%s: a comparison record with comparisons off" name
                     | _ -> ())
-                  b.trace.events;
-                if erase_cmp a.trace <> b.trace then
+                  (Evm.Trace.expand b.trace.events);
+                if erase_cmp a.trace <> expanded b.trace then
                   Alcotest.failf "%s seed %d tx %d: traces differ beyond cmp" name s
                     a.tx_index)
               r_on.tx_results r_off.tx_results;
@@ -397,8 +416,148 @@ let comparisons_gate =
           done)
         Corpus.Examples.all)
 
+(* ---------------- folding a dispatch = folding its expansion ----------------
+
+   The hot consumers fold a [Dispatch] directly; everything else reads
+   [Trace.expand]. Random sequences on every example contract with a
+   dispatcher chain: each consumer must give the same result on a run's
+   traces as on their expansion, float bits included. *)
+
+type subject = {
+  s_name : string;
+  s_contract : Minisol.Contract.t;
+  s_ctx : Mufuzz.Executor.ctx;
+  s_cfg : Analysis.Cfg.t;
+  s_static : Oracles.Oracle.static_info;
+}
+
+let subjects =
+  lazy
+    (Array.of_list
+       (List.filter_map
+          (fun (name, src) ->
+            let c = Minisol.Contract.compile src in
+            if Array.length (Evm.Bytecode.artifact c.bytecode).a_chains = 0 then None
+            else
+              Some
+                {
+                  s_name = name;
+                  s_contract = c;
+                  s_ctx =
+                    Mufuzz.Executor.make_ctx ~contract:c ~gas:1_000_000 ~n_senders:3
+                      ~attacker:true ();
+                  s_cfg = Analysis.Cfg.build c.bytecode;
+                  s_static = Oracles.Oracle.static_info_of c;
+                })
+          Corpus.Examples.all))
+
+(* contract index, RNG seed, calls after the constructor *)
+let gen_run = QCheck2.Gen.(triple (int_bound 1000) (int_bound 100_000) (int_range 1 10))
+
+let print_run (i, seed, calls) =
+  let s = Lazy.force subjects in
+  Printf.sprintf "%s, seed %d, %d calls" s.(i mod Array.length s).s_name seed calls
+
+let expand_result (r : Mufuzz.Executor.tx_result) = { r with trace = expanded r.trace }
+
+let summary_view (s : Mufuzz.Branch_summary.t) =
+  ( s.keys, s.hits, Array.map Int64.bits_of_float s.dists, s.nested,
+    Array.map Int64.bits_of_float s.weights )
+
+let prefix_view (wbs : Analysis.Prefix.weighted_branch list) =
+  List.map
+    (fun (w : Analysis.Prefix.weighted_branch) ->
+      (w.pc, w.taken, w.nested_score, w.vulnerable, w.flip_vulnerable,
+       Int64.bits_of_float w.weight))
+    wbs
+
+let coverage_view results =
+  let cov = Mufuzz.Coverage.create () in
+  let fresh =
+    List.map (fun (r : Mufuzz.Executor.tx_result) -> Mufuzz.Coverage.record cov r.trace)
+      results
+  in
+  (fresh, Telemetry.Json.to_string (Mufuzz.Coverage.to_json cov))
+
+let folds_agree (i, seed, calls) =
+  let subjects = Lazy.force subjects in
+  let s = subjects.(i mod Array.length subjects) in
+  let rng = Util.Rng.create (Int64.of_int seed) in
+  let callable =
+    List.filter (fun (f : Abi.func) -> not f.is_constructor) s.s_contract.abi
+  in
+  let fns =
+    "constructor"
+    :: List.init calls (fun _ -> (Util.Rng.choose_list rng callable).Abi.name)
+  in
+  let seed = Mufuzz.Seed.of_sequence rng ~n_senders:3 s.s_contract.abi fns in
+  let run = Mufuzz.Executor.run_in_ctx s.s_ctx seed in
+  let exp = { run with tx_results = List.map expand_result run.tx_results } in
+  let dispatched =
+    List.exists
+      (fun (r : Mufuzz.Executor.tx_result) ->
+        List.exists (function Evm.Trace.Dispatch _ -> true | _ -> false) r.trace.events)
+      run.tx_results
+  in
+  let summaries weigh =
+    let b = Mufuzz.Branch_summary.builder ?weigh s.s_cfg in
+    let on_trace = summary_view (Mufuzz.Branch_summary.summarize b run.tx_results) in
+    (on_trace, summary_view (Mufuzz.Branch_summary.summarize b exp.tx_results))
+  in
+  let agree (a, b) = a = b in
+  let inspect (r : Mufuzz.Executor.run) = Mufuzz.Executor.inspect ~static:s.s_static r in
+  let checks =
+    [
+      ("a dispatch was recorded", dispatched);
+      ("summary, weighing", agree (summaries (Some Analysis.Prefix.default_params)));
+      ("summary, not weighing", agree (summaries None));
+      ("oracles", inspect run = inspect exp);
+      ( "prefix analysis",
+        List.for_all2
+          (fun (r : Mufuzz.Executor.tx_result) (e : Mufuzz.Executor.tx_result) ->
+            prefix_view (Analysis.Prefix.analyze_trace s.s_cfg r.trace)
+            = prefix_view (Analysis.Prefix.analyze_trace s.s_cfg e.trace))
+          run.tx_results exp.tx_results );
+      ("coverage record", coverage_view run.tx_results = coverage_view exp.tx_results);
+    ]
+  in
+  match List.find_opt (fun (_, ok) -> not ok) checks with
+  | Some (what, _) -> QCheck2.Test.fail_reportf "%s differs on the expansion" what
+  | None -> true
+
+let expansion =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"dispatch folds equal expansion folds" ~count:200
+       ~long_factor:20 ~print:print_run gen_run folds_agree)
+
+(* A dispatch on its own: no vulnerable event for the prefix weights, no
+   alarm, and as many branches as groups passed. *)
+let lone_dispatch =
+  Alcotest.test_case "a dispatch is branches only" `Quick (fun () ->
+      let consts = [| U.of_int 7; U.of_int 9; U.of_int 11 |] in
+      let d =
+        Evm.Trace.Dispatch
+          { pc = 10; consts; passed = 2; hit = true; sel = U.of_int 9;
+            sel_taint = T.calldata; cmps = false }
+      in
+      Alcotest.(check bool) "not a vulnerable event" false
+        (Analysis.Prefix.is_vulnerable_event d);
+      let trace =
+        { Evm.Trace.status = Success; events = [ d ]; return_data = ""; gas_used = 0;
+          steps = 0 }
+      in
+      Alcotest.(check int) "no alarm" 0
+        (List.length
+           (Oracles.Oracle.inspect_trace
+              ~static:(Oracles.Oracle.static_info_of
+                         (Minisol.Contract.compile Corpus.Examples.crowdsale))
+              ~tx_index:0 ~tx_success:true trace));
+      Alcotest.(check (list (pair int bool))) "branches" [ (14, false); (19, true) ]
+        (Evm.Trace.branches trace))
+
 let suite =
   [
     ("dispatch: chain model", chain_model :: pinned);
+    ("dispatch: expansion", [ expansion; lone_dispatch ]);
     ("dispatch: comparisons gate", [ comparisons_gate ]);
   ]

@@ -519,6 +519,12 @@ let config_tests =
         let _, trace = run [ Op.PUSH U.one; Op.POP; Op.STOP ] in
         Alcotest.(check bool) "positive gas" true (trace.gas_used > 0);
         Alcotest.(check bool) "bounded" true (trace.gas_used < 100));
+    unit "out-of-gas consumes exactly the gas limit" (fun () ->
+        (* the second PUSH leaves 2 of 5, the third would need 3 *)
+        let _, trace = run ~gas:5 [ Op.PUSH U.one; Op.PUSH U.one; Op.PUSH U.one ] in
+        Alcotest.(check string) "status" "out-of-gas"
+          (Evm.Trace.status_to_string trace.status);
+        Alcotest.(check int) "gas used" 5 trace.gas_used);
     unit "advance_block moves time forward" (fun () ->
         let b = Evm.Interp.default_block in
         let b' = Evm.Interp.advance_block b in

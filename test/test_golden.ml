@@ -31,7 +31,7 @@ let branch_fingerprint (run : Mufuzz.Executor.run) =
             Buffer.add_string buf
               (Printf.sprintf "%d:%d:%b:%h;" r.tx_index pc taken dist_to_flip)
           | _ -> ())
-        r.trace.events)
+        (Evm.Trace.expand r.trace.events))
     run.tx_results;
   Crypto.Keccak.hash_hex (Buffer.contents buf)
 

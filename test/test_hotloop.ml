@@ -214,13 +214,17 @@ let artifact_agrees =
        ~count:200 ~print:print_bytecode gen_bytecode (fun code ->
          let art = Evm.Bytecode.decode code in
          let naive = Evm.Bytecode.jumpdests code in
+         (* the bitmap: one bit per instruction, none set past the code *)
          let jd_ok =
-           Array.length art.a_jumpdest = Array.length code
+           Bytes.length art.a_jumpdest = (Array.length code + 7) / 8
            && Array.for_all Fun.id
                 (Array.init (Array.length code) (fun pc ->
                      Evm.Bytecode.is_jumpdest art pc = Hashtbl.mem naive pc))
            && (not (Evm.Bytecode.is_jumpdest art (-1)))
-           && not (Evm.Bytecode.is_jumpdest art (Array.length code))
+           && (not (Evm.Bytecode.is_jumpdest art min_int))
+           && List.for_all
+                (fun pc -> not (Evm.Bytecode.is_jumpdest art pc))
+                (List.init 16 (fun i -> Array.length code + i) @ [ max_int ])
          in
          let chains = naive_chains code in
          let chains_ok =

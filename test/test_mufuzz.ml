@@ -245,7 +245,7 @@ let trace_min_distance (trace : Evm.Trace.t) (pc, want_side) =
         | _ -> Some dist_to_flip
       end
       | _ -> acc)
-    None trace.events
+    None (Evm.Trace.expand trace.events)
 
 let ref_frontier_dists cov (results : Mufuzz.Executor.tx_result list) =
   List.filter_map
@@ -271,7 +271,7 @@ let ref_nested_hits (results : Mufuzz.Executor.tx_result list) =
             | Evm.Trace.Branch { pc; taken; _ } ->
               (ord + 1, if ord + 1 >= 2 then (pc, taken) :: acc else acc)
             | _ -> (ord, acc))
-          (0, []) r.trace.events
+          (0, []) (Evm.Trace.expand r.trace.events)
       in
       acc)
     results
@@ -442,7 +442,7 @@ let ref_note_flip_attempts cov attempts (results : Mufuzz.Executor.tx_result lis
               Hashtbl.replace attempts other
                 (1 + Option.value ~default:0 (Hashtbl.find_opt attempts other))
           | _ -> ())
-        r.trace.events)
+        (Evm.Trace.expand r.trace.events))
     results
 
 (* gen_event's pcs 0..5 moved onto real JUMPIs, so the flip-side
@@ -457,6 +457,28 @@ let onto_jumpis = function
       { pc = j.(pc mod Array.length j); taken; dist_to_flip; cond_taint; cmp }
   | ev -> ev
 
+(* crowdsale's selector chain resolved on one of its constants or on a
+   miss, as the interpreter reports it *)
+let crowdsale_chain =
+  lazy
+    (let code =
+       (Minisol.Contract.compile Corpus.Examples.crowdsale).Minisol.Contract.bytecode
+     in
+     (Evm.Bytecode.artifact code).a_chains.(0))
+
+let gen_dispatch =
+  QCheck2.Gen.map
+    (fun (k, miss, cmps) ->
+      let ch = Lazy.force crowdsale_chain in
+      let n = Array.length ch.ch_consts in
+      let k = k mod (n + 1) in
+      let hit = k < n in
+      Evm.Trace.Dispatch
+        { pc = ch.ch_start; consts = ch.ch_consts; passed = (if hit then k + 1 else n);
+          hit; sel = (if hit then ch.ch_consts.(k) else Word.U256.of_int miss);
+          sel_taint = Evm.Trace.Taint.calldata; cmps })
+    QCheck2.Gen.(triple (int_bound 16) (int_bound 1000) bool)
+
 let gen_summary_run =
   QCheck2.Gen.(
     list_size (int_range 0 4)
@@ -464,6 +486,7 @@ let gen_summary_run =
          (frequency
             [
               (8, map onto_jumpis gen_event);
+              (2, gen_dispatch);
               (1, return (Evm.Trace.Arith_overflow { pc = 1; op = "ADD"; taint = 0 }));
               (1, return (Evm.Trace.Log { pc = 2; topics = [] }));
             ])))
@@ -540,7 +563,10 @@ let summary_agrees (history, probe, baseline_nested, random_dists, params) =
       let fresh = Mufuzz.Coverage.record_run cov s in
       let fresh_ref =
         List.fold_left
-          (fun acc (r : Mufuzz.Executor.tx_result) -> Mufuzz.Coverage.record cov_ref r.trace || acc)
+          (fun acc (r : Mufuzz.Executor.tx_result) ->
+            Mufuzz.Coverage.record cov_ref
+              { r.trace with events = Evm.Trace.expand r.trace.events }
+            || acc)
           false run.tx_results
       in
       check (fresh = fresh_ref);

@@ -370,7 +370,7 @@ let guard_side contract fn_name magic =
               when U.equal c.T.lhs magic || U.equal c.T.rhs magic ->
               Some (pc, not taken)
             | _ -> None)
-          r.trace.T.events)
+          (T.expand r.trace.T.events))
       run.tx_results
   with
   | Some side -> side

@@ -124,6 +124,66 @@ let occurrence_tests =
             "keys and counts" expected
             (List.map (fun (k, n) -> (O.key_to_string k, n)) r.occurrences)))
     occurrence_golden
+  @ [
+      (* every example, so the pin spans many call paths per contract,
+         several raising transactions per execution, and PiggyBank's
+         whole-contract EF (the empty path) *)
+      Alcotest.test_case "every example's occurrence keys pinned" `Quick (fun () ->
+          let lines =
+            List.map
+              (fun (name, src) ->
+                let r =
+                  Mufuzz.Campaign.run_parallel
+                    ~config:{ Mufuzz.Config.default with max_executions = 300; jobs = 1 }
+                    (Minisol.Contract.compile src)
+                in
+                name ^ ": "
+                ^ String.concat " "
+                    (List.map
+                       (fun (k, n) -> Printf.sprintf "%s:%d" (O.key_to_string k) n)
+                       r.occurrences))
+              Corpus.Examples.all
+          in
+          Alcotest.(check string) "digest"
+            "3af0cb11072dae140367e31ad1f242f210308f3eca90bc1d9c9f4dc9b2c7589f"
+            (Crypto.Keccak.hash_hex (String.concat "\n" lines)));
+      (* EF is reported after the raising transactions' alarms and still
+         takes the empty path *)
+      Alcotest.test_case "EF after per-transaction alarms keeps the empty path" `Quick
+        (fun () ->
+          let src =
+            {|
+contract TimedPiggy {
+  uint256 total;
+  uint256 bonus;
+
+  function save() public payable {
+    total += msg.value;
+    if (block.timestamp % 2 == 0) {
+      bonus = bonus + 1;
+    }
+  }
+
+  function peek() public returns (uint256) {
+    return total;
+  }
+}
+|}
+          in
+          let r =
+            Mufuzz.Campaign.run_parallel
+              ~config:{ Mufuzz.Config.default with max_executions = 300; jobs = 1 }
+              (Minisol.Contract.compile src)
+          in
+          Alcotest.(check (list (pair string int)))
+            "keys and counts"
+            [ ("BD@81/04832841989ca80a", 279); ("BD@81/322c0a129aef27d1", 7);
+              ("BD@81/55bbbb16c676be03", 8); ("BD@81/f2a81c2593776b8f", 2);
+              ("BD@84/04832841989ca80a", 279); ("BD@84/322c0a129aef27d1", 7);
+              ("BD@84/55bbbb16c676be03", 8); ("BD@84/f2a81c2593776b8f", 2);
+              ("EF@-1/c5d2460186f7233c", 161) ]
+            (List.map (fun (k, n) -> (O.key_to_string k, n)) r.occurrences));
+    ]
 
 (* ---------------- shrinker ---------------- *)
 

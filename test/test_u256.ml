@@ -517,6 +517,31 @@ let distances =
     prop_dist "to_float_abs_difference is bit-equal to to_float (abs_difference a b)"
       (fun (a, b) ->
         bits (U.to_float_abs_difference a b) = bits (U.to_float (U.abs_difference a b)));
+    (* the one-limb fast path: both orders of every pair, equal
+       operands, and the limb's unsigned extremes *)
+    Alcotest.test_case "one-limb pairs are bit-equal to to_float (abs_difference a b)"
+      `Quick (fun () ->
+        let limbs =
+          [ 0L; 1L; 0x12345678L; Int64.max_int; Int64.min_int;
+            Int64.add Int64.min_int 1L; -2L; -1L ]
+        in
+        List.iter
+          (fun x ->
+            List.iter
+              (fun y ->
+                let a = U.of_int64 x and b = U.of_int64 y in
+                Alcotest.(check int64) (print2 (a, b))
+                  (bits (U.to_float (U.abs_difference a b)))
+                  (bits (U.to_float_abs_difference a b)))
+              limbs)
+          limbs);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"random one-limb pairs are bit-equal" ~count:1000
+         ~long_factor:50 ~print:print2
+         QCheck2.Gen.(
+           map (fun (x, y) -> (U.of_int64 x, U.of_int64 y)) (pair int64 int64))
+         (fun (a, b) ->
+           bits (U.to_float_abs_difference a b) = bits (U.to_float (U.abs_difference a b))));
     prop_dist "cmp_dist matches the word-building definition" (fun (a, b) ->
         List.for_all
           (fun op ->
